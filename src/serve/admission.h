@@ -14,7 +14,8 @@ namespace levy::serve {
 /// Every accepted connection must pass through here before a worker touches
 /// it. The queue has an explicit capacity and an explicit byte budget; when
 /// either is exceeded the connection is *shed* — the acceptor answers
-/// `503 + Retry-After` immediately and closes — instead of queueing without
+/// `503 + Retry-After` immediately, drains the request under a byte bound
+/// and a deadline, and closes — instead of queueing without
 /// bound. Overload therefore degrades to fast, explicit rejections while
 /// admitted requests keep their latency; memory stays bounded by
 /// `capacity * reserved_bytes`.

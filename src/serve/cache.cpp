@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <utility>
 #include <vector>
 
 #include "src/core/contracts.h"
 #include "src/sim/checkpoint.h"
 #include "src/sim/fault.h"
+#include "src/sim/le_bytes.h"
 
 namespace levy::serve {
 namespace {
@@ -26,19 +25,6 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kRecordPayload = 56;
 constexpr std::size_t kRecordSize = kRecordPayload + 4;
 constexpr std::size_t kHeaderSize = 20;
-
-template <class T>
-void put(std::vector<char>& out, const T& v) {
-    const auto* p = reinterpret_cast<const char*>(&v);
-    out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <class T>
-T get(const char* p) noexcept {
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    return v;
-}
 
 double clamp01(double v) noexcept { return std::clamp(v, 0.0, 1.0); }
 
@@ -204,22 +190,22 @@ void result_cache::save(const std::string& path) {
     std::size_t ordinal = 0;
     {
         std::lock_guard lk(m_);
-        bytes.reserve(kHeaderSize + lru_.size() * kRecordSize);
-        put(bytes, kMagic);
-        put(bytes, kVersion);
-        put(bytes, static_cast<std::uint32_t>(kRecordSize));
-        put(bytes, sim::crc32(bytes.data(), bytes.size()));
+        bytes.resize(kHeaderSize + lru_.size() * kRecordSize);
+        char* p = sim::store_le(bytes.data(), kMagic);
+        p = sim::store_le(p, kVersion);
+        p = sim::store_le(p, static_cast<std::uint32_t>(kRecordSize));
+        p = sim::store_le(p, sim::crc32(bytes.data(), kHeaderSize - 4));
         for (const auto& [key, value] : lru_) {  // MRU first
-            const std::size_t start = bytes.size();
-            put(bytes, key.alpha_q);
-            put(bytes, key.budget_q);
-            put(bytes, key.ell);
-            put(bytes, key.k);
-            put(bytes, value.probability);
-            put(bytes, value.ci_low);
-            put(bytes, value.ci_high);
-            put(bytes, value.trials);
-            put(bytes, sim::crc32(bytes.data() + start, kRecordPayload));
+            char* const rec = p;
+            p = sim::store_le(p, key.alpha_q);
+            p = sim::store_le(p, key.budget_q);
+            p = sim::store_le(p, key.ell);
+            p = sim::store_le(p, key.k);
+            p = sim::store_le(p, value.probability);
+            p = sim::store_le(p, value.ci_low);
+            p = sim::store_le(p, value.ci_high);
+            p = sim::store_le(p, value.trials);
+            p = sim::store_le(p, sim::crc32(rec, kRecordPayload));
         }
         dirty_ = 0;
         ordinal = ++flush_ordinal_;
@@ -232,27 +218,17 @@ void result_cache::save(const std::string& path) {
 }
 
 std::size_t result_cache::load(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
     std::vector<char> bytes;
-    if (in) {
-        in.seekg(0, std::ios::end);
-        const std::streamoff len = in.tellg();
-        if (len > 0) {
-            bytes.resize(static_cast<std::size_t>(len));
-            in.seekg(0);
-            in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-            if (!in) bytes.clear();
-        }
-    }
+    if (!sim::read_file(path, bytes)) bytes.clear();
     std::lock_guard lk(m_);
     lru_.clear();
     index_.clear();
     dirty_ = 0;
     if (bytes.size() < kHeaderSize) return 0;
-    if (get<std::uint64_t>(bytes.data()) != kMagic ||
-        get<std::uint32_t>(bytes.data() + 8) != kVersion ||
-        get<std::uint32_t>(bytes.data() + 12) != static_cast<std::uint32_t>(kRecordSize) ||
-        get<std::uint32_t>(bytes.data() + 16) != sim::crc32(bytes.data(), 16)) {
+    if (sim::load_le<std::uint64_t>(bytes.data()) != kMagic ||
+        sim::load_le<std::uint32_t>(bytes.data() + 8) != kVersion ||
+        sim::load_le<std::uint32_t>(bytes.data() + 12) != kRecordSize ||
+        sim::load_le<std::uint32_t>(bytes.data() + 16) != sim::crc32(bytes.data(), 16)) {
         return 0;
     }
     std::size_t kept = 0;
@@ -261,19 +237,19 @@ std::size_t result_cache::load(const std::string& path) {
     for (std::size_t off = kHeaderSize; off + kRecordSize <= bytes.size();
          off += kRecordSize) {
         const char* rec = bytes.data() + off;
-        if (get<std::uint32_t>(rec + kRecordPayload) != sim::crc32(rec, kRecordPayload)) {
+        if (sim::load_le<std::uint32_t>(rec + kRecordPayload) != sim::crc32(rec, kRecordPayload)) {
             continue;
         }
         cache_key key;
-        key.alpha_q = get<std::int32_t>(rec);
-        key.budget_q = get<std::int32_t>(rec + 4);
-        key.ell = get<std::int64_t>(rec + 8);
-        key.k = get<std::uint64_t>(rec + 16);
+        key.alpha_q = sim::load_le<std::int32_t>(rec);
+        key.budget_q = sim::load_le<std::int32_t>(rec + 4);
+        key.ell = sim::load_le<std::int64_t>(rec + 8);
+        key.k = sim::load_le<std::uint64_t>(rec + 16);
         cache_value value;
-        value.probability = clamp01(get<double>(rec + 24));
-        value.ci_low = clamp01(get<double>(rec + 32));
-        value.ci_high = clamp01(get<double>(rec + 40));
-        value.trials = get<std::uint64_t>(rec + 48);
+        value.probability = clamp01(sim::load_le<double>(rec + 24));
+        value.ci_low = clamp01(sim::load_le<double>(rec + 32));
+        value.ci_high = clamp01(sim::load_le<double>(rec + 40));
+        value.trials = sim::load_le<std::uint64_t>(rec + 48);
         if (index_.contains(key)) continue;  // records are MRU-first: keep the hotter one
         if (lru_.size() >= opts_.capacity) break;
         lru_.emplace_back(key, value);  // preserve MRU-first order

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -120,7 +121,7 @@ server::server(const serve_options& opts)
                                64 * 1024, opts.max_inflight_bytes,
                                opts.retry_after_seconds}),
       cache_(opts.cache),
-      impl_(new impl) {
+      impl_(std::make_unique<impl>()) {
     LEVY_PRECONDITION(opts.workers >= 1, "serve: workers must be >= 1");
     LEVY_PRECONDITION(opts.queue_capacity >= 1, "serve: queue_capacity must be >= 1");
     LEVY_PRECONDITION(opts.default_deadline_ms >= 1, "serve: default_deadline_ms must be >= 1");
@@ -129,10 +130,7 @@ server::server(const serve_options& opts)
     LEVY_PRECONDITION(opts.cache_flush_every >= 1, "serve: cache_flush_every must be >= 1");
 }
 
-server::~server() {
-    stop();
-    delete impl_;
-}
+server::~server() { stop(); }
 
 unsigned short server::start() {
     if (impl_->running.load()) throw std::logic_error("serve: server already running");
@@ -156,11 +154,12 @@ unsigned short server::start() {
 void server::stop() noexcept {
     if (!impl_->running.exchange(false)) return;
     queue_.shutdown();
+    if (impl_->listen_fd >= 0) ::shutdown(impl_->listen_fd, SHUT_RDWR);  // wakes the acceptor
+    if (impl_->acceptor.joinable()) impl_->acceptor.join();
     if (impl_->listen_fd >= 0) {
-        ::close(impl_->listen_fd);  // wakes the acceptor's poll
+        ::close(impl_->listen_fd);  // only once the acceptor is done with it
         impl_->listen_fd = -1;
     }
-    if (impl_->acceptor.joinable()) impl_->acceptor.join();
     for (auto& w : impl_->workers) {
         if (w.joinable()) w.join();
     }
@@ -210,13 +209,54 @@ server::stats_snapshot server::stats() const {
 }
 
 void server::acceptor_loop() {
+    using clock = std::chrono::steady_clock;
+    // Shed connections whose 503 is sent and whose write side is shut. Each
+    // is drained — the request read and discarded — until the client hangs
+    // up, `max_head_bytes` arrive, or one I/O timeout passes, and only then
+    // closed: closing with request bytes unread makes the kernel answer
+    // them with RST, which destroys the 503 before the client reads it.
+    // Drains are polled beside the listener, so a silent client holds one
+    // slot, never the acceptor.
+    struct drain {
+        int fd;
+        clock::time_point deadline;
+        std::size_t bytes;
+    };
+    constexpr std::size_t kMaxDrains = 256;
+    const auto drain_time = std::chrono::duration_cast<clock::duration>(
+        std::chrono::duration<double>(opts_.limits.io_timeout_seconds));
+    std::vector<drain> drains;
+    std::vector<pollfd> fds;
+    char sink[1024];
     while (impl_->running.load()) {
-        pollfd pfd{};
-        pfd.fd = impl_->listen_fd;
-        pfd.events = POLLIN;
-        const int rc = ::poll(&pfd, 1, 200);
+        fds.assign(1, pollfd{impl_->listen_fd, POLLIN, 0});
+        int timeout_ms = 200;
+        const clock::time_point now = clock::now();
+        for (const drain& d : drains) {
+            fds.push_back(pollfd{d.fd, POLLIN, 0});
+            const auto left = std::chrono::ceil<std::chrono::milliseconds>(d.deadline - now);
+            timeout_ms = static_cast<int>(std::clamp<std::int64_t>(left.count(), 0, timeout_ms));
+        }
+        const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
         if (!impl_->running.load()) break;
-        if (rc <= 0) continue;
+        // Backwards, so swap-removal only moves already-visited drains.
+        for (std::size_t i = drains.size(); i-- > 0;) {
+            drain& d = drains[i];
+            bool done = clock::now() >= d.deadline;
+            if (!done && fds[i + 1].revents != 0) {
+                const ssize_t n = ::recv(d.fd, sink, sizeof sink, MSG_DONTWAIT);
+                if (n > 0) d.bytes += static_cast<std::size_t>(n);
+                done = n == 0 ||
+                       (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) ||
+                       d.bytes > opts_.limits.max_head_bytes;
+            }
+            if (done) {
+                ::close(d.fd);
+                d = drains.back();
+                drains.pop_back();
+            }
+        }
+        if (rc <= 0 || (fds[0].revents & POLLIN) == 0) continue;
         const int fd = ::accept(impl_->listen_fd, nullptr, nullptr);
         if (fd < 0) continue;
         apply_socket_timeouts(fd, opts_.limits);
@@ -227,8 +267,13 @@ void server::acceptor_loop() {
             503, std::string("overloaded: ") + admit_result_name(admitted));
         resp.retry_after_seconds = opts_.retry_after_seconds;
         (void)send_all(fd, render_response(resp));
-        ::close(fd);
+        if (drains.size() < kMaxDrains && ::shutdown(fd, SHUT_WR) == 0) {
+            drains.push_back({fd, clock::now() + drain_time, 0});
+        } else {
+            ::close(fd);  // every drain slot taken: the 503 is best effort
+        }
     }
+    for (const drain& d : drains) ::close(d.fd);
 }
 
 void server::worker_loop() {

@@ -1,9 +1,8 @@
 #include "src/sim/checkpoint.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -19,6 +18,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/progress.h"
 #include "src/sim/fault.h"
+#include "src/sim/le_bytes.h"
 
 namespace levy::sim {
 namespace {
@@ -27,45 +27,37 @@ constexpr std::uint64_t kMagic = 0x4c56594a4f55524eULL;  // "LVYJOURN" big-endia
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 4;  // ..., trailing header CRC
 
-void append_u32(std::vector<char>& out, std::uint32_t v) {
-    for (int b = 0; b < 4; ++b) out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-}
-
-void append_u64(std::vector<char>& out, std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-}
-
-std::uint32_t read_u32(const char* p) {
-    std::uint32_t v = 0;
-    for (int b = 3; b >= 0; --b) v = (v << 8) | static_cast<unsigned char>(p[b]);
-    return v;
-}
-
-std::uint64_t read_u64(const char* p) {
-    std::uint64_t v = 0;
-    for (int b = 7; b >= 0; --b) v = (v << 8) | static_cast<unsigned char>(p[b]);
-    return v;
-}
-
-const std::array<std::uint32_t, 256>& crc_table() {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+/// Slicing-by-8 tables: kCrc[0] is the bytewise CRC-32 table, and
+/// kCrc[s][i] is the CRC of byte i followed by s zero bytes, so one step can
+/// fold eight input bytes with eight independent lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t s = 1; s < t.size(); ++s) {
+        for (std::size_t i = 0; i < 256; ++i) {
+            t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xff];
         }
-        return t;
-    }();
-    return table;
-}
+    }
+    return t;
+}();
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
+    const auto* p = static_cast<const char*>(data);
     std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < len; ++i) c = crc_table()[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        const std::uint32_t lo = load_le<std::uint32_t>(p) ^ c;
+        const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+        c = kCrc[7][lo & 0xff] ^ kCrc[6][(lo >> 8) & 0xff] ^ kCrc[5][(lo >> 16) & 0xff] ^
+            kCrc[4][lo >> 24] ^ kCrc[3][hi & 0xff] ^ kCrc[2][(hi >> 8) & 0xff] ^
+            kCrc[1][(hi >> 16) & 0xff] ^ kCrc[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len) c = kCrc[0][(c ^ static_cast<unsigned char>(*p)) & 0xff] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 
@@ -111,27 +103,38 @@ void atomic_write_file(const std::string& path, const std::vector<char>& bytes) 
 #endif
 }
 
+bool read_file(const std::string& path, std::vector<char>& out) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr) return false;
+    bool ok = std::fseek(f, 0, SEEK_END) == 0;
+    const long len = ok ? std::ftell(f) : -1;
+    ok = len >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
+    if (ok) {
+        out.resize(static_cast<std::size_t>(len));
+        ok = out.empty() || std::fread(out.data(), 1, out.size(), f) == out.size();
+    }
+    std::fclose(f);
+    return ok;
+}
+
 journal_contents load_journal(const std::string& path, const journal_key& key) {
     journal_contents out;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return out;  // no journal yet: clean fresh start
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string bytes = ss.str();
+    std::vector<char> bytes;
+    if (!read_file(path, bytes)) return out;  // no journal yet: clean fresh start
 
     if (bytes.size() < kHeaderBytes) {
         out.dropped_tail = !bytes.empty();
         return out;
     }
     const char* p = bytes.data();
-    if (read_u64(p) != kMagic || read_u32(p + 8) != kVersion ||
-        crc32(p, kHeaderBytes - 4) != read_u32(p + kHeaderBytes - 4)) {
+    if (load_le<std::uint64_t>(p) != kMagic || load_le<std::uint32_t>(p + 8) != kVersion ||
+        crc32(p, kHeaderBytes - 4) != load_le<std::uint32_t>(p + kHeaderBytes - 4)) {
         out.dropped_tail = true;  // unrecognizable or rotted header: recompute all
         return out;
     }
-    const std::uint32_t payload_size = read_u32(p + 12);
-    const std::uint64_t seed = read_u64(p + 16);
-    const std::uint64_t trials = read_u64(p + 24);
+    const auto payload_size = load_le<std::uint32_t>(p + 12);
+    const auto seed = load_le<std::uint64_t>(p + 16);
+    const auto trials = load_le<std::uint64_t>(p + 24);
     if (payload_size != key.payload_size || seed != key.seed || trials != key.trials) {
         return out;  // journal of a different run: ignore it wholesale
     }
@@ -143,8 +146,8 @@ journal_contents load_journal(const std::string& path, const journal_key& key) {
     bool first = true;
     while (off + record_bytes <= bytes.size()) {
         const char* rec = p + off;
-        const std::uint64_t index = read_u64(rec);
-        const std::uint32_t stored = read_u32(rec + 8 + payload_size);
+        const auto index = load_le<std::uint64_t>(rec);
+        const auto stored = load_le<std::uint32_t>(rec + 8 + payload_size);
         // Records are written sorted and unique; anything else is corruption.
         const bool ordered = first || index > prev_index;
         if (index >= key.trials || !ordered || crc32(rec, 8 + payload_size) != stored) {
@@ -232,19 +235,17 @@ std::size_t trial_journal::completed() const {
 }
 
 void trial_journal::flush_locked() {
-    std::vector<char> bytes;
-    bytes.reserve(kHeaderBytes + records_.size() * (12 + key_.payload_size));
-    append_u64(bytes, kMagic);
-    append_u32(bytes, kVersion);
-    append_u32(bytes, key_.payload_size);
-    append_u64(bytes, key_.seed);
-    append_u64(bytes, key_.trials);
-    append_u32(bytes, crc32(bytes.data(), bytes.size()));
+    std::vector<char> bytes(kHeaderBytes + records_.size() * (12 + key_.payload_size));
+    char* p = store_le(bytes.data(), kMagic);
+    p = store_le(p, kVersion);
+    p = store_le(p, key_.payload_size);
+    p = store_le(p, key_.seed);
+    p = store_le(p, key_.trials);
+    p = store_le(p, crc32(bytes.data(), kHeaderBytes - 4));
     for (const auto& [index, payload] : records_) {
-        const std::size_t rec_start = bytes.size();
-        append_u64(bytes, index);
-        bytes.insert(bytes.end(), payload.begin(), payload.end());
-        append_u32(bytes, crc32(bytes.data() + rec_start, 8 + payload.size()));
+        char* const rec = p;
+        p = std::copy(payload.begin(), payload.end(), store_le(p, index));
+        p = store_le(p, crc32(rec, 8 + payload.size()));
     }
     // A planned short/torn write (fault.h) corrupts this flush exactly the
     // way a dying disk would — after the mutated bytes land, the journal

@@ -11,8 +11,10 @@
 namespace levy::sim {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `len` bytes. Used to
-/// checksum every journal header and record so torn or bit-rotted
-/// checkpoints are detected at load instead of silently corrupting tables.
+/// checksum every journal header and record — and every shard spill and
+/// cache file — so torn or bit-rotted files are detected at load instead of
+/// silently corrupting tables. Slicing-by-8: eight bytes per table step, the
+/// same values as the bytewise definition.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len) noexcept;
 
 /// Write `bytes` to `path` crash-safely: the content goes to `<path>.tmp`,
@@ -23,6 +25,11 @@ namespace levy::sim {
 /// rename only once the directory entry is synced; see DESIGN.md §11).
 /// Throws std::runtime_error on I/O failure (the temp file is removed).
 void atomic_write_file(const std::string& path, const std::vector<char>& bytes);
+
+/// Replace `out` with the whole content of `path`, in one sized read (a
+/// reused `out` keeps its capacity). False when the file cannot be opened
+/// or read in full; `out`'s content is then unspecified.
+[[nodiscard]] bool read_file(const std::string& path, std::vector<char>& out);
 
 /// Identity of a Monte-Carlo run for resume purposes. A journal written
 /// under one key is ignored (and later overwritten) by a run with any other

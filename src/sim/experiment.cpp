@@ -177,13 +177,13 @@ run_options parse_run_options(int argc, char** argv) {
         } else if (auto dm = eat("--deadline-ms"); !dm.empty()) {
             // Parsed signed so "-5" reaches the precondition (an unsigned
             // parse would report it as a malformed number instead).
-            const auto v = parse_number<std::int64_t>(dm, "deadline-ms");
-            LEVY_PRECONDITION(v > 0, "--deadline-ms must be > 0");
-            opts.deadline_ms = static_cast<std::uint64_t>(v);
+            const auto ms = parse_number<std::int64_t>(dm, "deadline-ms");
+            LEVY_PRECONDITION(ms > 0, "--deadline-ms must be > 0");
+            opts.deadline_ms = static_cast<std::uint64_t>(ms);
         } else if (auto qc = eat("--queue-capacity"); !qc.empty()) {
-            const auto v = parse_number<std::int64_t>(qc, "queue-capacity");
-            LEVY_PRECONDITION(v > 0, "--queue-capacity must be > 0");
-            opts.queue_capacity = static_cast<std::size_t>(v);
+            const auto capacity = parse_number<std::int64_t>(qc, "queue-capacity");
+            LEVY_PRECONDITION(capacity > 0, "--queue-capacity must be > 0");
+            opts.queue_capacity = static_cast<std::size_t>(capacity);
         } else if (auto sh = eat("--shards"); !sh.empty()) {
             opts.shards = parse_number<std::size_t>(sh, "shards");
         } else if (auto mb = eat("--memory-budget"); !mb.empty()) {

@@ -1,12 +1,10 @@
 #include "src/sim/shard_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -19,6 +17,7 @@
 #include "src/rng/splitmix64.h"
 #include "src/sim/checkpoint.h"
 #include "src/sim/fault.h"
+#include "src/sim/le_bytes.h"
 
 namespace levy::sim {
 namespace {
@@ -39,27 +38,8 @@ namespace {
 constexpr std::uint64_t kMagic = 0x4c56595348415244ULL;  // "LVYSHARD" big-endian bytes
 constexpr std::uint64_t kVersion = 1;
 constexpr std::size_t kHeaderU64 = 16;  // magic + 15 fields
+constexpr std::size_t kIdentityU64 = 11;  // magic .. strategy_fp
 constexpr std::size_t kHeaderBytes = kHeaderU64 * 8 + 4;
-
-void append_u64(std::vector<char>& out, std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-}
-
-void append_u32(std::vector<char>& out, std::uint32_t v) {
-    for (int b = 0; b < 4; ++b) out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-}
-
-std::uint64_t read_u64(const char* p) noexcept {
-    std::uint64_t v = 0;
-    for (int b = 7; b >= 0; --b) v = (v << 8) | static_cast<unsigned char>(p[b]);
-    return v;
-}
-
-std::uint32_t read_u32(const char* p) noexcept {
-    std::uint32_t v = 0;
-    for (int b = 3; b >= 0; --b) v = (v << 8) | static_cast<unsigned char>(p[b]);
-    return v;
-}
 
 /// Identity of one sharded run; every spill header embeds it.
 struct run_identity {
@@ -127,65 +107,68 @@ std::string shard_path(const std::string& dir, const run_identity& id, std::size
            std::to_string(id.shard_count) + ".lvyshard";
 }
 
-std::vector<char> encode_shard(const run_identity& id, const shard& s,
-                               const dist_cache& dists) {
-    std::vector<char> bytes;
-    bytes.reserve(kHeaderBytes + s.block.live() * walker_block::kBytesPerWalker + 4);
-    append_u64(bytes, kMagic);
-    append_u64(bytes, kVersion);
-    append_u64(bytes, s.index);
-    append_u64(bytes, id.shard_count);
-    append_u64(bytes, id.trial_seed);
-    append_u64(bytes, id.k);
-    append_u64(bytes, id.cap);
-    append_u64(bytes, id.budget);
-    append_u64(bytes, static_cast<std::uint64_t>(id.target.x));
-    append_u64(bytes, static_cast<std::uint64_t>(id.target.y));
-    append_u64(bytes, id.strategy_fp);
-    append_u64(bytes, s.block.live());
-    append_u64(bytes, s.rounds);
-    append_u64(bytes, s.local.hit ? 1 : 0);
-    append_u64(bytes, s.local.time);
-    append_u64(bytes, static_cast<std::uint64_t>(s.local.winner));
-    append_u32(bytes, crc32(bytes.data(), kHeaderU64 * 8));
-    const std::size_t body_off = bytes.size();
-    s.block.serialize(dists, bytes);
-    append_u32(bytes, crc32(bytes.data() + body_off, bytes.size() - body_off));
-    return bytes;
+/// The header's u64 fields for shard `s` of run `id`, in file order; the
+/// first kIdentityU64 depend only on (id, s.index).
+std::array<std::uint64_t, kHeaderU64> header_fields(const run_identity& id, const shard& s) {
+    return {kMagic,
+            kVersion,
+            s.index,
+            id.shard_count,
+            id.trial_seed,
+            id.k,
+            id.cap,
+            id.budget,
+            static_cast<std::uint64_t>(id.target.x),
+            static_cast<std::uint64_t>(id.target.y),
+            id.strategy_fp,
+            s.block.live(),
+            s.rounds,
+            s.local.hit ? 1U : 0U,
+            s.local.time,
+            static_cast<std::uint64_t>(s.local.winner)};
 }
 
-/// Parse + validate a spill file into `s`. False (s untouched beyond its
-/// block being cleared) on any mismatch or corruption.
+/// Encode shard `s` into `bytes`, sized once to the file length (a reused
+/// buffer keeps its capacity across spills).
+void encode_shard(const run_identity& id, const shard& s, const dist_cache& dists,
+                  std::vector<char>& bytes) {
+    const std::size_t body_bytes = s.block.live() * walker_block::kBytesPerWalker;
+    bytes.reserve(kHeaderBytes + body_bytes + 4);
+    bytes.resize(kHeaderBytes);
+    char* p = bytes.data();
+    for (const std::uint64_t field : header_fields(id, s)) p = store_le(p, field);
+    store_le(p, crc32(bytes.data(), kHeaderU64 * 8));
+    s.block.serialize(dists, bytes);
+    bytes.resize(kHeaderBytes + body_bytes + 4);
+    store_le(bytes.data() + kHeaderBytes + body_bytes,
+             crc32(bytes.data() + kHeaderBytes, body_bytes));
+}
+
+/// Read + validate the spill file at `path` (through the reused `bytes`)
+/// into `s`. False (s untouched beyond its block being cleared) on any
+/// mismatch or corruption.
 bool decode_shard(const std::string& path, const run_identity& id, shard& s,
-                  dist_cache& dists) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string bytes = ss.str();
-    if (bytes.size() < kHeaderBytes + 4) return false;
+                  dist_cache& dists, std::vector<char>& bytes) {
+    if (!read_file(path, bytes) || bytes.size() < kHeaderBytes + 4) return false;
     const char* p = bytes.data();
-    if (read_u64(p) != kMagic || read_u64(p + 8) != kVersion) return false;
-    if (crc32(p, kHeaderU64 * 8) != read_u32(p + kHeaderU64 * 8)) return false;
-    if (read_u64(p + 16) != s.index || read_u64(p + 24) != id.shard_count ||
-        read_u64(p + 32) != id.trial_seed || read_u64(p + 40) != id.k ||
-        read_u64(p + 48) != id.cap || read_u64(p + 56) != id.budget ||
-        read_u64(p + 64) != static_cast<std::uint64_t>(id.target.x) ||
-        read_u64(p + 72) != static_cast<std::uint64_t>(id.target.y) ||
-        read_u64(p + 80) != id.strategy_fp) {
+    std::array<std::uint64_t, kHeaderU64> header{};
+    for (std::size_t i = 0; i < kHeaderU64; ++i) header[i] = load_le<std::uint64_t>(p + 8 * i);
+    if (crc32(p, kHeaderU64 * 8) != load_le<std::uint32_t>(p + kHeaderU64 * 8)) return false;
+    const std::array<std::uint64_t, kHeaderU64> expected = header_fields(id, s);
+    if (!std::equal(header.begin(), header.begin() + kIdentityU64, expected.begin())) {
         return false;
     }
-    const std::uint64_t live = read_u64(p + 88);
+    const std::uint64_t live = header[11];
     if (live > s.hi - s.lo) return false;
     const std::size_t body_bytes = static_cast<std::size_t>(live) * walker_block::kBytesPerWalker;
     if (bytes.size() != kHeaderBytes + body_bytes + 4) return false;
     const char* body = p + kHeaderBytes;
-    if (crc32(body, body_bytes) != read_u32(body + body_bytes)) return false;
+    if (crc32(body, body_bytes) != load_le<std::uint32_t>(body + body_bytes)) return false;
     if (!s.block.deserialize(body, static_cast<std::size_t>(live), dists)) return false;
-    s.rounds = read_u64(p + 96);
-    s.local.hit = read_u64(p + 104) != 0;
-    s.local.time = read_u64(p + 112);
-    s.local.winner = static_cast<std::size_t>(read_u64(p + 120));
+    s.rounds = header[12];
+    s.local.hit = header[13] != 0;
+    s.local.time = header[14];
+    s.local.winner = static_cast<std::size_t>(header[15]);
     return true;
 }
 
@@ -277,16 +260,16 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
     };
 
     const auto spill = [&](shard& s) {
-        std::vector<char> bytes = encode_shard(id, s, dists_);
+        encode_shard(id, s, dists_, io_);
         // Fault drills corrupt or kill here — before the atomic write — so
         // the mutation lands under the rename exactly like a torn disk.
-        (void)fault_on_shard_spill(++spill_ordinal, bytes);
-        atomic_write_file(shard_path(dir, id, s.index), bytes);
+        (void)fault_on_shard_spill(++spill_ordinal, io_);
+        atomic_write_file(shard_path(dir, id, s.index), io_);
         s.dirty = false;
         ++stats_.spills;
-        stats_.spilled_bytes += bytes.size();
+        stats_.spilled_bytes += io_.size();
         obs::get_counter("shard.spills").add();
-        obs::get_counter("shard.spill_bytes").add(bytes.size());
+        obs::get_counter("shard.spill_bytes").add(io_.size());
     };
 
     const auto evict = [&](shard& s) {
@@ -302,7 +285,7 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
         if (s.resident) return;
         const std::string path = shard_path(dir, id, s.index);
         const bool file_exists = std::filesystem::exists(path, ec) && !ec;
-        if (file_exists && decode_shard(path, id, s, dists_)) {
+        if (file_exists && decode_shard(path, id, s, dists_, io_)) {
             if (!s.spawned) ++stats_.resumed;  // a previous process left it
             s.spawned = true;
             s.resident = true;

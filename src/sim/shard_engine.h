@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/core/parallel_search.h"
 #include "src/core/strategy.h"
@@ -98,6 +99,9 @@ public:
 private:
     dist_cache dists_;
     shard_run_stats stats_{};
+    /// The one spill/reload byte buffer: every encode and decode of every
+    /// trial on this engine reuses its capacity (one shard file's worth).
+    std::vector<char> io_;
 };
 
 }  // namespace levy::sim

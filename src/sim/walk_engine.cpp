@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "src/core/contracts.h"
 #include "src/grid/ring.h"
+#include "src/sim/le_bytes.h"
 
 namespace levy::sim {
 namespace {
@@ -19,37 +19,20 @@ __extension__ typedef __int128 int128;
 /// per walker and would otherwise grow it without bound.
 constexpr std::size_t kDistCacheLimit = 1024;
 
-void put_u64(std::vector<char>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+char* store_rng(char* p, const rng& g) noexcept {
+    const rng::state st = g.save();
+    p = store_le(p, st.seed);
+    for (const std::uint64_t w : st.engine) p = store_le(p, w);
+    return p;
 }
 
-void put_i64(std::vector<char>& out, std::int64_t v) {
-    put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-std::uint64_t get_u64(const char* p) noexcept {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+rng load_rng(const char* p) noexcept {
+    rng::state st;
+    st.seed = load_le<std::uint64_t>(p);
+    for (std::size_t i = 0; i < st.engine.size(); ++i) {
+        st.engine[i] = load_le<std::uint64_t>(p + 8 + 8 * i);
     }
-    return v;
-}
-
-std::int64_t get_i64(const char* p) noexcept {
-    return static_cast<std::int64_t>(get_u64(p));
-}
-
-void put_rng(std::vector<char>& out, const rng& g) {
-    const rng::state s = g.save();
-    put_u64(out, s.seed);
-    for (const std::uint64_t w : s.engine) put_u64(out, w);
-}
-
-rng get_rng(const char* p) noexcept {
-    rng::state s;
-    s.seed = get_u64(p);
-    for (int i = 0; i < 4; ++i) s.engine[static_cast<std::size_t>(i)] = get_u64(p + 8 + 8 * i);
-    return rng::restore(s);
+    return rng::restore(st);
 }
 
 }  // namespace
@@ -156,7 +139,7 @@ void walker_block::swap_slots(std::size_t a, std::size_t b) noexcept {
     std::swap(pxt_[a], pxt_[b]);
 }
 
-void walker_block::truncate(std::size_t live_count) {
+void walker_block::resize(std::size_t live_count) {
     ids_.resize(live_count);
     main_.resize(live_count, rng::seeded(0));
     path_.resize(live_count, rng::seeded(0));
@@ -307,60 +290,67 @@ void walker_block::epoch(const engine_options& opts, const dist_cache& dists, po
             ++w;
         }
     }
-    truncate(live_count);
+    resize(live_count);
 }
 
+// Spill record layout: kBytesPerWalker = 28 little-endian 8-byte words.
+//
+//     offset  field            offset  field        offset  field
+//          0  id                  112  elapsed         176  px
+//          8  alpha bits          120  phase           184  py
+//         16  main rng (5 words)  128  total           192  destx
+//         56  path rng (5 words)  136  j               200  desty
+//         96  x                   144  adx             208  istar
+//        104  y                   152  ady             216  pxt
+//                                 160  sx
+//                                 168  sy
+//
+// An rng is its seed word then its four engine words (rng::state order).
+
 void walker_block::serialize(const dist_cache& dists, std::vector<char>& out) const {
-    out.reserve(out.size() + ids_.size() * kBytesPerWalker);
+    const std::size_t base = out.size();
+    out.resize(base + ids_.size() * kBytesPerWalker);
+    char* p = out.data() + base;
     for (std::size_t w = 0; w < ids_.size(); ++w) {
-        put_u64(out, static_cast<std::uint64_t>(ids_[w]));
-        put_u64(out, dists.alpha_bits(dist_ix_[w]));
-        put_rng(out, main_[w]);
-        put_rng(out, path_[w]);
-        put_i64(out, x_[w]);
-        put_i64(out, y_[w]);
-        put_u64(out, elapsed_[w]);
-        put_u64(out, phase_[w]);
-        put_u64(out, total_[w]);
-        put_u64(out, j_[w]);
-        put_i64(out, adx_[w]);
-        put_i64(out, ady_[w]);
-        put_i64(out, sx_[w]);
-        put_i64(out, sy_[w]);
-        put_i64(out, px_[w]);
-        put_i64(out, py_[w]);
-        put_i64(out, destx_[w]);
-        put_i64(out, desty_[w]);
-        put_u64(out, istar_[w]);
-        put_i64(out, pxt_[w]);
+        p = store_le(p, static_cast<std::uint64_t>(ids_[w]));
+        p = store_le(p, dists.alpha_bits(dist_ix_[w]));
+        p = store_rng(p, main_[w]);
+        p = store_rng(p, path_[w]);
+        p = store_le(p, x_[w]);
+        p = store_le(p, y_[w]);
+        p = store_le(p, elapsed_[w]);
+        p = store_le(p, phase_[w]);
+        p = store_le(p, total_[w]);
+        p = store_le(p, j_[w]);
+        p = store_le(p, adx_[w]);
+        p = store_le(p, ady_[w]);
+        p = store_le(p, sx_[w]);
+        p = store_le(p, sy_[w]);
+        p = store_le(p, px_[w]);
+        p = store_le(p, py_[w]);
+        p = store_le(p, destx_[w]);
+        p = store_le(p, desty_[w]);
+        p = store_le(p, istar_[w]);
+        p = store_le(p, pxt_[w]);
     }
 }
 
 bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache& dists) {
-    clear();
+    resize(count);  // every slot below is overwritten or the block cleared
     for (std::size_t w = 0; w < count; ++w) {
         const char* p = bytes + w * kBytesPerWalker;
-        const std::uint64_t id = get_u64(p);
-        const std::uint64_t alpha_bits = get_u64(p + 8);
+        const auto alpha_bits = load_le<std::uint64_t>(p + 8);
         const double alpha = std::bit_cast<double>(alpha_bits);
-        const rng main_stream = get_rng(p + 16);
-        const rng path_stream = get_rng(p + 56);
-        const std::int64_t x = get_i64(p + 96);
-        const std::int64_t y = get_i64(p + 104);
-        const std::uint64_t elapsed = get_u64(p + 112);
-        const std::uint64_t phase = get_u64(p + 120);
-        const std::uint64_t total = get_u64(p + 128);
-        const std::uint64_t j = get_u64(p + 136);
-        const std::int64_t adx = get_i64(p + 144);
-        const std::int64_t ady = get_i64(p + 152);
-        const std::int64_t sx = get_i64(p + 160);
-        const std::int64_t sy = get_i64(p + 168);
-        const std::int64_t px = get_i64(p + 176);
-        const std::int64_t py = get_i64(p + 184);
-        const std::int64_t destx = get_i64(p + 192);
-        const std::int64_t desty = get_i64(p + 200);
-        const std::uint64_t istar = get_u64(p + 208);
-        const std::int64_t pxt = get_i64(p + 216);
+        const auto phase = load_le<std::uint64_t>(p + 120);
+        const auto total = load_le<std::uint64_t>(p + 128);
+        const auto j = load_le<std::uint64_t>(p + 136);
+        const auto adx = load_le<std::int64_t>(p + 144);
+        const auto ady = load_le<std::int64_t>(p + 152);
+        const auto sx = load_le<std::int64_t>(p + 160);
+        const auto sy = load_le<std::int64_t>(p + 168);
+        const auto px = load_le<std::int64_t>(p + 176);
+        const auto py = load_le<std::int64_t>(p + 184);
+        const auto istar = load_le<std::uint64_t>(p + 208);
         // Structural sanity before the values can reach samplers or the
         // replay arithmetic; CRC catches random corruption first, so this
         // is defense-in-depth against a validly-checksummed-but-bogus file.
@@ -378,26 +368,26 @@ bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache&
             clear();
             return false;
         }
-        ids_.push_back(static_cast<std::size_t>(id));
-        main_.push_back(main_stream);
-        path_.push_back(path_stream);
-        dist_ix_.push_back(dists.index_for_bits(alpha_bits));
-        x_.push_back(x);
-        y_.push_back(y);
-        elapsed_.push_back(elapsed);
-        phase_.push_back(phase);
-        total_.push_back(total);
-        j_.push_back(j);
-        adx_.push_back(adx);
-        ady_.push_back(ady);
-        sx_.push_back(sx);
-        sy_.push_back(sy);
-        px_.push_back(px);
-        py_.push_back(py);
-        destx_.push_back(destx);
-        desty_.push_back(desty);
-        istar_.push_back(istar);
-        pxt_.push_back(pxt);
+        ids_[w] = static_cast<std::size_t>(load_le<std::uint64_t>(p));
+        main_[w] = load_rng(p + 16);
+        path_[w] = load_rng(p + 56);
+        dist_ix_[w] = dists.index_for_bits(alpha_bits);
+        x_[w] = load_le<std::int64_t>(p + 96);
+        y_[w] = load_le<std::int64_t>(p + 104);
+        elapsed_[w] = load_le<std::uint64_t>(p + 112);
+        phase_[w] = phase;
+        total_[w] = total;
+        j_[w] = j;
+        adx_[w] = adx;
+        ady_[w] = ady;
+        sx_[w] = sx;
+        sy_[w] = sy;
+        px_[w] = px;
+        py_[w] = py;
+        destx_[w] = load_le<std::int64_t>(p + 192);
+        desty_[w] = load_le<std::int64_t>(p + 200);
+        istar_[w] = istar;
+        pxt_[w] = load_le<std::int64_t>(p + 216);
     }
     return true;
 }

@@ -134,7 +134,8 @@ private:
     /// One Bresenham replay step for slot w, tie coins from path_[w].
     void replay_step(std::size_t w);
     void swap_slots(std::size_t a, std::size_t b) noexcept;
-    void truncate(std::size_t live_count);
+    /// Resize every column to `live_count` slots (new slots hold filler).
+    void resize(std::size_t live_count);
 
     // SoA walker state; index = live slot. Retired slots are swapped past
     // the live prefix and truncated at epoch end, so every vector stays

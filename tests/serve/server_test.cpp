@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/serve/server.h"
 
 #if LEVY_SERVE_HAVE_POSIX_SOCKETS
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 namespace levy::serve {
 namespace {
@@ -199,6 +205,72 @@ TEST(ServerLifecycle, StartServesOverRealSocketsAndStopsIdempotently) {
     srv.stop();
     srv.stop();  // idempotent
     EXPECT_FALSE(srv.running());
+}
+
+/// One raw GET over a fresh connection: every byte the server sent up to
+/// its orderly close, or "" when the connection was reset first.
+std::string raw_get(unsigned short port, const std::string& path) {
+    const int fd = connect_client(port, 5.0);
+    if (fd < 0) return {};
+    std::string response;
+    ssize_t n = -1;
+    if (send_all(fd, "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")) {
+        char buf[1024];
+        while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
+            response.append(buf, static_cast<std::size_t>(n));
+        }
+    }
+    ::close(fd);
+    return n == 0 ? response : std::string();
+}
+
+// Shed path: with the only worker busy and the queue full, every further
+// client must read a complete 503 with Retry-After. Closing a shed socket
+// with its request unread makes the kernel send RST, which loses the 503
+// in flight; the acceptor must drain the request first — without letting a
+// silent shed client stall the clients behind it.
+TEST(ServerShedding, EveryShedClientReadsACompleteRetryAfter503) {
+    serve_options opts = fast_opts();
+    opts.queue_capacity = 1;
+    opts.retry_after_seconds = 7;
+    opts.limits.io_timeout_seconds = 30.0;  // a drain that blocked would show
+    opts.limits.head_deadline_seconds = 30.0;
+    server srv(opts);
+    const unsigned short port = srv.start();
+
+    // Silent clients until one is in service (the worker blocks reading its
+    // head) and one is queued. Closed before `srv` stops, even on failure,
+    // so the worker is released at once.
+    struct closer {
+        std::vector<int> fds;
+        ~closer() {
+            for (const int fd : fds) {
+                if (fd >= 0) ::close(fd);
+            }
+        }
+    } silent;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (srv.stats().admission.admitted < 2 && std::chrono::steady_clock::now() < deadline) {
+        silent.fds.push_back(connect_client(port, 5.0));
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    ASSERT_EQ(srv.stats().admission.admitted, 2u);
+    // One more silent client: shed, and left open for the whole loop below.
+    silent.fds.push_back(connect_client(port, 5.0));
+
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 64; ++i) {
+        const std::string resp = raw_get(port, "/query?alpha=2.5&ell=8&k=2&budget=500");
+        ASSERT_EQ(resp.rfind("HTTP/1.1 503 ", 0), 0u) << "client " << i << ": " << resp;
+        EXPECT_NE(resp.find("Retry-After: 7\r\n"), std::string::npos) << resp;
+        const std::size_t body = resp.find("\r\n\r\n");
+        ASSERT_NE(body, std::string::npos) << resp;
+        EXPECT_NE(resp.find("Content-Length: " + std::to_string(resp.size() - body - 4) + "\r\n"),
+                  std::string::npos)
+            << "truncated 503: " << resp;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+    EXPECT_EQ(srv.stats().admission.admitted, 2u);
 }
 
 TEST(ServerOptions, ConstructorRejectsDegenerateConfigs) {

@@ -56,6 +56,44 @@ TEST(Crc32, MatchesIeeeCheckValue) {
     EXPECT_NE(crc32(s.data(), s.size()), 0xCBF43926u);
 }
 
+TEST(Crc32, SlicedMatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+    // The textbook one-bit-at-a-time CRC-32, independent of crc32's tables.
+    const auto reference = [](const unsigned char* p, std::size_t len) {
+        std::uint32_t c = 0xffffffffu;
+        for (std::size_t i = 0; i < len; ++i) {
+            c ^= p[i];
+            for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        }
+        return c ^ 0xffffffffu;
+    };
+    std::vector<unsigned char> buf(8 + 300);
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (unsigned char& b : buf) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<unsigned char>(x >> 56);
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 300; ++len) {
+            ASSERT_EQ(crc32(buf.data() + offset, len), reference(buf.data() + offset, len))
+                << "offset=" << offset << " len=" << len;
+        }
+    }
+}
+
+TEST_F(CheckpointTest, ReadFileReturnsWholeContentIntoAReusedBuffer) {
+    const std::string path = file("blob.bin");
+    std::vector<char> bytes(1000, 'x');  // stale, longer content is replaced
+    EXPECT_FALSE(read_file(path, bytes));  // missing file
+    write_all(path, {'a', '\0', 'b'});
+    ASSERT_TRUE(read_file(path, bytes));
+    EXPECT_EQ(bytes, (std::vector<char>{'a', '\0', 'b'}));
+    write_all(path, {});
+    ASSERT_TRUE(read_file(path, bytes));
+    EXPECT_TRUE(bytes.empty());
+}
+
 TEST_F(CheckpointTest, AtomicWriteRoundTripsAndLeavesNoTemp) {
     const std::string path = file("blob.bin");
     const std::vector<char> payload = {'a', 'b', '\0', 'c'};

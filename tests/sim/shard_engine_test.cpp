@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -277,6 +279,171 @@ TEST(WalkerBlockSerialize, RejectsStructurallyInvalidRecords) {
     // A valid record still restores after the rejections above.
     walker_block scratch;
     EXPECT_TRUE(scratch.deserialize(good.data(), 1, dists));
+}
+
+/// --- spill record layout, pinned independently of walker_block ------------
+///
+/// One spill record, field by field, in file order. The encoder and decoder
+/// below are this test's own bytewise little-endian codec, so a change to
+/// walker_block's layout or word encoding shows as a byte diff here: files
+/// written before and after a codec change must stay interchangeable.
+struct walker_record {
+    std::uint64_t id = 0;
+    std::uint64_t alpha_bits = 0;
+    rng::state main;
+    rng::state path;
+    std::int64_t x = 0, y = 0;
+    std::uint64_t elapsed = 0, phase = 0, total = 0, j = 0;
+    std::int64_t adx = 0, ady = 0, sx = 0, sy = 0, px = 0, py = 0, destx = 0, desty = 0;
+    std::uint64_t istar = 0;
+    std::int64_t pxt = 0;
+};
+
+void put_word(std::vector<char>& out, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+}
+
+std::uint64_t get_word(const char* p) {
+    std::uint64_t v = 0;
+    for (int b = 7; b >= 0; --b) v = (v << 8) | static_cast<unsigned char>(p[b]);
+    return v;
+}
+
+std::vector<char> encode_records(const std::vector<walker_record>& records) {
+    std::vector<char> out;
+    const auto put_rng = [&out](const rng::state& st) {
+        put_word(out, st.seed);
+        for (const std::uint64_t w : st.engine) put_word(out, w);
+    };
+    for (const walker_record& r : records) {
+        put_word(out, r.id);
+        put_word(out, r.alpha_bits);
+        put_rng(r.main);
+        put_rng(r.path);
+        for (const std::int64_t v : {r.x, r.y}) put_word(out, static_cast<std::uint64_t>(v));
+        for (const std::uint64_t v : {r.elapsed, r.phase, r.total, r.j}) put_word(out, v);
+        for (const std::int64_t v : {r.adx, r.ady, r.sx, r.sy, r.px, r.py, r.destx, r.desty}) {
+            put_word(out, static_cast<std::uint64_t>(v));
+        }
+        put_word(out, r.istar);
+        put_word(out, static_cast<std::uint64_t>(r.pxt));
+    }
+    return out;
+}
+
+walker_record decode_record(const char* p) {
+    const auto word = [p](std::size_t field) { return get_word(p + 8 * field); };
+    const auto sword = [&word](std::size_t field) {
+        return static_cast<std::int64_t>(word(field));
+    };
+    walker_record r;
+    r.id = word(0);
+    r.alpha_bits = word(1);
+    r.main.seed = word(2);
+    r.path.seed = word(7);
+    for (std::size_t i = 0; i < 4; ++i) {
+        r.main.engine[i] = word(3 + i);
+        r.path.engine[i] = word(8 + i);
+    }
+    r.x = sword(12);
+    r.y = sword(13);
+    r.elapsed = word(14);
+    r.phase = word(15);
+    r.total = word(16);
+    r.j = word(17);
+    r.adx = sword(18);
+    r.ady = sword(19);
+    r.sx = sword(20);
+    r.sy = sword(21);
+    r.px = sword(22);
+    r.py = sword(23);
+    r.destx = sword(24);
+    r.desty = sword(25);
+    r.istar = word(26);
+    r.pxt = sword(27);
+    return r;
+}
+
+TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
+    const rng trial = rng::seeded(20211);
+    const exponent_strategy strategy = uniform_exponent(1.5, 2.5);
+    // Close and off-diagonal: some phases carry a candidate step through a
+    // lopsided bounding box, where x and y replay progress differ.
+    const point target{4, -1};
+    dist_cache dists;
+    dists.reset(kNoCap);
+    walker_block block;
+    std::vector<walker_record> spawned;
+    for (std::size_t i = 0; i < 64; ++i) {
+        rng stream = trial.substream(i);
+        const double alpha = strategy(i, stream);
+        block.spawn(i, alpha, stream, dists);
+        walker_record r;  // every field of a fresh walker is known up front
+        r.id = i;
+        r.alpha_bits = std::bit_cast<std::uint64_t>(alpha);
+        r.main = stream.save();
+        r.path = stream.substream(0).save();
+        r.sx = r.sy = 1;
+        spawned.push_back(r);
+    }
+    std::vector<char> bytes;
+    block.serialize(dists, bytes);
+    ASSERT_EQ(bytes, encode_records(spawned));
+
+    // Mid-phase: three quantum-1 epochs advance every live walker exactly
+    // three steps and leave phase residue. Decode every record at this
+    // test's offsets, check each field against what it must mean, then
+    // require the per-field re-encoding to be the serialized bytes.
+    constexpr std::uint64_t kEpochs = 3;
+    best_state best;
+    for (std::uint64_t e = 0; e < kEpochs; ++e) {
+        block.epoch(engine_options{.epoch_steps = 1}, dists, target, 500, best);
+    }
+    ASSERT_GT(block.live(), 0u);
+    bytes.clear();
+    block.serialize(dists, bytes);
+    ASSERT_EQ(bytes.size(), block.live() * walker_block::kBytesPerWalker);
+    std::vector<walker_record> records;
+    std::size_t mid_phase = 0;
+    std::size_t candidates = 0;
+    for (std::size_t w = 0; w < block.live(); ++w) {
+        const walker_record r = decode_record(bytes.data() + w * walker_block::kBytesPerWalker);
+        ASSERT_LT(r.id, spawned.size());
+        EXPECT_EQ(r.alpha_bits, spawned[r.id].alpha_bits) << "walker " << r.id;
+        EXPECT_EQ(r.main.seed, trial.substream(r.id).seed()) << "walker " << r.id;
+        EXPECT_NE(r.main.engine, spawned[r.id].main.engine) << "walker " << r.id;
+        EXPECT_TRUE((r.sx == 1 || r.sx == -1) && (r.sy == 1 || r.sy == -1)) << "walker " << r.id;
+        EXPECT_EQ(r.elapsed, kEpochs) << "walker " << r.id;
+        EXPECT_TRUE(r.phase >= 1 && r.phase <= kEpochs) << "walker " << r.id;
+        if (r.total != 0) {
+            ++mid_phase;
+            EXPECT_EQ(r.path.seed, rng::seeded(r.main.seed).substream(r.phase).seed());
+            EXPECT_EQ(static_cast<std::uint64_t>(r.adx + r.ady), r.total);
+            EXPECT_TRUE(r.j >= 1 && r.j < r.total) << "walker " << r.id;
+            if (r.phase == 1) {
+                EXPECT_EQ(r.j, kEpochs) << "walker " << r.id;
+            }
+            EXPECT_TRUE(r.px >= 0 && r.px <= r.adx && r.py >= 0 && r.py <= r.ady);
+            EXPECT_EQ(r.destx, r.x + r.sx * r.adx);
+            EXPECT_EQ(r.desty, r.y + r.sy * r.ady);
+            if (r.istar != 0) {
+                // A pending candidate replays every step: x and y progress
+                // each stay within one step of the straight line.
+                ++candidates;
+                const auto t = static_cast<std::int64_t>(r.total);
+                const auto j = static_cast<std::int64_t>(r.j);
+                EXPECT_EQ(r.px + r.py, j);
+                EXPECT_LT(std::abs(t * r.px - j * r.adx), t) << "walker " << r.id;
+                EXPECT_LT(std::abs(t * r.py - j * r.ady), t) << "walker " << r.id;
+                EXPECT_EQ(r.pxt, r.sx * (target.x - r.x));
+                EXPECT_EQ(r.istar, static_cast<std::uint64_t>(r.pxt + r.sy * (target.y - r.y)));
+            }
+        }
+        records.push_back(r);
+    }
+    EXPECT_GT(mid_phase, 0u);
+    EXPECT_GT(candidates, 0u);
+    EXPECT_EQ(bytes, encode_records(records));
 }
 
 /// --- spill-file corruption property tests --------------------------------
