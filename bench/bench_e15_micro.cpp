@@ -43,6 +43,17 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample)->Arg(150)->Arg(250)->Arg(350);  // α = 1.5, 2.5, 3.5
 
+// The same draws with the pow-free head built, as sim::dist_cache builds it
+// for an exponent requested twice (fixed-α trials, sweeps, levyserve). The
+// values drawn are identical to BM_ZipfSample's.
+void BM_ZipfSampleHead(benchmark::State& state) {
+    zipf_sampler z(state.range(0) / 100.0);
+    z.build_head();
+    rng g = rng::seeded(2);
+    for (auto _ : state) benchmark::DoNotOptimize(z(g));
+}
+BENCHMARK(BM_ZipfSampleHead)->Arg(150)->Arg(250)->Arg(350);
+
 void BM_JumpSample(benchmark::State& state) {
     const jump_distribution d(2.5);
     rng g = rng::seeded(3);

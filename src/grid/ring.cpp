@@ -11,9 +11,14 @@ point ring_node(point center, std::int64_t d, std::uint64_t j) {
         return center;
     }
     if (j >= ring_size(d)) throw std::out_of_range("ring_node: index out of range");
-    const auto o = static_cast<std::int64_t>(j % static_cast<std::uint64_t>(d));
+    // side = j / d and o = j mod d by three comparisons instead of a
+    // divide: j < 4d, so the quotient is 0..3 (and 4d, hence 3d, does not
+    // wrap, or ring_size itself would).
+    const auto ud = static_cast<std::uint64_t>(d);
+    const std::uint64_t side = std::uint64_t{j >= ud} + (j >= 2 * ud) + (j >= 3 * ud);
+    const auto o = static_cast<std::int64_t>(j - side * ud);
     point rel;
-    switch (j / static_cast<std::uint64_t>(d)) {
+    switch (side) {
         case 0: rel = {d - o, o}; break;
         case 1: rel = {-o, d - o}; break;
         case 2: rel = {o - d, -o}; break;

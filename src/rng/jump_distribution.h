@@ -57,6 +57,16 @@ public:
         return zipf_.sample_capped(g, cap);
     }
 
+    /// Build the Zipf sampler's pow-free head (zipf_sampler::build_head)
+    /// for a distribution that will draw many times. Draws are unchanged
+    /// value for value; a no-op when alias-prepared, since its capped
+    /// draws never reach the rejection loop.
+    void build_head() {
+        if (!alias_) zipf_.build_head();
+    }
+
+    [[nodiscard]] bool has_head() const noexcept { return zipf_.has_head(); }
+
     /// True when `sample_capped(g, cap)` would take the alias fast path.
     [[nodiscard]] bool uses_alias(std::uint64_t cap) const noexcept {
         return alias_.has_value() && alias_->cap() == cap;
@@ -80,10 +90,9 @@ public:
     /// The normalizer c_α = 1/(2 ζ(α)).
     [[nodiscard]] double normalizer() const noexcept { return c_; }
 
-    [[nodiscard]] double alpha() const noexcept { return alpha_; }
+    [[nodiscard]] double alpha() const noexcept { return zipf_.alpha(); }
 
 private:
-    double alpha_;
     double c_;
     zipf_sampler zipf_;
     std::optional<zipf_alias_sampler> alias_;  // engaged by the capped ctor

@@ -16,21 +16,61 @@ zipf_sampler::zipf_sampler(double alpha) : alpha_(alpha) {
     inv_b_ = 1.0 / b;
 }
 
+namespace {
+// Jump lengths are clamped at 2^48: far beyond any step budget the harness
+// uses (a walk needs 2^48 steps to traverse such a phase), yet small enough
+// that even ~2^14 consecutive clamped ballistic *flight* jumps cannot
+// overflow 64-bit lattice coordinates. The clamped mass is < 2^{-48(α-1)},
+// i.e. < 2^{-4.8} only in the most extreme α = 1.1 and astronomically small
+// for α ≥ 1.5.
+constexpr double kMaxX = 281474976710656.0;  // 2^48
+}  // namespace
+
+void zipf_sampler::build_head() {
+    if (head_ || !(alpha_ >= kHeadMinAlpha && alpha_ <= kHeadMaxAlpha)) return;
+    auto h = std::make_shared<head>();
+    for (std::uint64_t i = 0; i <= kHeadSize; ++i) {
+        const double threshold = std::pow(static_cast<double>(i + 1), 1.0 - alpha_);
+        h->lo[i] = threshold * (1.0 - kHeadGuard);
+        h->hi[i] = threshold * (1.0 + kHeadGuard);
+    }
+    h->t[0] = 0.0;  // unused: the head never settles x = 0
+    for (std::uint64_t i = 1; i <= kHeadSize; ++i) {
+        // The loop's own expression, so a settled attempt's acceptance test
+        // sees the very same T.
+        const double x = static_cast<double>(i);
+        h->t[i] = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
+    }
+    head_ = std::move(h);
+}
+
+std::uint64_t zipf_sampler::head_lookup(double u) const noexcept {
+    if (!head_) return 0;
+    const head& h = *head_;
+    // c = #{i : u < lo[i]}, by a branch-free binary search (lo decreases).
+    // Then u < T_c·(1 − δ) gives x ≥ c, and u > T_{c+1}·(1 + δ) gives
+    // x < c + 1. c = 0 always fails the second test, since hi[0] > 1 ≥ u.
+    std::uint64_t c = 0;
+    for (std::uint64_t step = (kHeadSize + 1) / 2; step != 0; step /= 2) {
+        c += step * static_cast<std::uint64_t>(u < h.lo[c + step - 1]);
+    }
+    return u > h.hi[c] ? c : 0;
+}
+
 std::uint64_t zipf_sampler::operator()(rng& g) const {
-    // Jump lengths are clamped at 2^48: far beyond any step budget the
-    // harness uses (a walk needs 2^48 steps to traverse such a phase), yet
-    // small enough that even ~2^14 consecutive clamped ballistic *flight*
-    // jumps cannot overflow 64-bit lattice coordinates. The clamped mass is
-    // < 2^{-48(α-1)}, i.e. < 2^{-4.8} only in the most extreme α = 1.1 and
-    // astronomically small for α ≥ 1.5.
-    constexpr double kMaxX = 281474976710656.0;  // 2^48
     for (;;) {
         const double u = g.uniform_positive();
         const double v = g.uniform();
-        const double xr = std::floor(std::pow(u, -inv_alpha_minus_1_));
-        const double x = std::min(xr, kMaxX);
-        // T = (1 + 1/X)^{α-1}
-        const double t = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
+        double x;
+        double t;  // T = (1 + 1/X)^{α-1}
+        if (const std::uint64_t settled = head_lookup(u); settled != 0) {
+            x = static_cast<double>(settled);
+            t = head_->t[settled];
+        } else {
+            const double xr = std::floor(std::pow(u, -inv_alpha_minus_1_));
+            x = std::min(xr, kMaxX);
+            t = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
+        }
         // Accept iff V·X·(T-1)/(b-1) <= T/b.
         if (v * x * (t - 1.0) / b_minus_1_ <= t * inv_b_) {
             return static_cast<std::uint64_t>(x);

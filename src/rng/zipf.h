@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/rng/rng_stream.h"
@@ -21,8 +23,34 @@ public:
     /// α must be > 1; throws std::invalid_argument otherwise.
     explicit zipf_sampler(double alpha);
 
-    /// Draw one Zipf(α) variate.
+    /// Draw one Zipf(α) variate. With or without a head (see build_head),
+    /// the same stream state yields the same value and leaves the stream
+    /// at the same position.
     [[nodiscard]] std::uint64_t operator()(rng& g) const;
+
+    /// Build the *head*: a table that settles the common attempts of the
+    /// rejection loop without calling pow. Costs ~65 pow calls and 1.5 KiB
+    /// once, so callers build it only for exponents that draw many times
+    /// (sim::dist_cache does so when an exponent is requested twice).
+    /// Idempotent; a no-op for α outside [kHeadMinAlpha, kHeadMaxAlpha],
+    /// where the guard-band error budget (DESIGN.md) is not proven.
+    void build_head();
+
+    [[nodiscard]] bool has_head() const noexcept { return head_ != nullptr; }
+
+    /// The head's inversion: floor(pow(u, -1/(α-1))) for a uniform u in
+    /// (0, 1], when u lies strictly between two guarded thresholds and the
+    /// value is at most kHeadSize; otherwise (or without a head) 0, and the
+    /// loop evaluates pow as before.
+    [[nodiscard]] std::uint64_t head_lookup(double u) const noexcept;
+
+    /// Largest jump length the head settles (H).
+    static constexpr std::uint64_t kHeadSize = 63;
+    /// Relative half-width δ of the guard band around each threshold.
+    static constexpr double kHeadGuard = 1e-9;
+    /// Exponent range the head is built for.
+    static constexpr double kHeadMinAlpha = 1.0 + 1e-6;
+    static constexpr double kHeadMaxAlpha = 1001.0;
 
     /// Draw conditioned on X <= cap (cap >= 1). Rejection against the
     /// unconditioned sampler while it is cheap, with an exact inverse-CDF
@@ -43,10 +71,19 @@ public:
     [[nodiscard]] double alpha() const noexcept { return alpha_; }
 
 private:
+    /// Thresholds T_n = n^{1-α} for n = 1..H+1: u ≤ T_n iff the envelope
+    /// inversion gives x ≥ n. Entry i holds T_{i+1}.
+    struct head {
+        std::array<double, kHeadSize + 1> lo;  // T_{i+1}·(1 − δ)
+        std::array<double, kHeadSize + 1> hi;  // T_{i+1}·(1 + δ)
+        std::array<double, kHeadSize + 1> t;   // t[x] = (1 + 1/x)^{α-1}, as the loop computes it
+    };
+
     double alpha_;
     double inv_alpha_minus_1_;  // 1/(α-1)
     double b_minus_1_;          // 2^{α-1} - 1
     double inv_b_;              // 2^{1-α}
+    std::shared_ptr<const head> head_;  // immutable; copies share it
 };
 
 /// Reference sampler for Zipf(α) truncated to {1, …, cap}: exact inverse-CDF

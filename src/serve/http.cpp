@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 #if LEVY_SERVE_HAVE_POSIX_SOCKETS
 #include <arpa/inet.h>
+#include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -229,21 +231,80 @@ std::pair<int, unsigned short> listen_on(unsigned short port) {
     return {fd, ntohs(addr.sin_port)};
 }
 
-int connect_client(unsigned short port, double timeout_seconds) noexcept {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+namespace {
+
+using clock = std::chrono::steady_clock;
+
+double seconds_since(clock::time_point start) noexcept {
+    return std::chrono::duration<double>(clock::now() - start).count();
+}
+
+/// Whether `host` may go to getaddrinfo and into the request head: 1..253
+/// bytes, none of them a control byte, space, DEL or non-ASCII (any of those
+/// could split or smuggle a header line), and, split on '.', no label empty
+/// or over 63 bytes — DNS cannot carry such a name, so no lookup is made.
+bool acceptable_host(const std::string& host) noexcept {
+    if (host.empty() || host.size() > 253) return false;
+    std::size_t label = 0;
+    for (const char c : host) {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte <= 0x20 || byte >= 0x7f) return false;
+        if (c == '.') {
+            if (label == 0) return false;
+            label = 0;
+        } else if (++label > 63) {
+            return false;
+        }
+    }
+    return true;
+}
+
+int connect_to(const sockaddr* addr, socklen_t len, double timeout_seconds) noexcept {
+    const int fd = ::socket(addr->sa_family, SOCK_STREAM, 0);
     if (fd < 0) return -1;
     http_limits limits;
     limits.io_timeout_seconds = timeout_seconds;
     apply_socket_timeouts(fd, limits);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    if (::connect(fd, addr, len) != 0) {
         ::close(fd);
         return -1;
     }
     return fd;
+}
+
+}  // namespace
+
+std::optional<std::string> host_header(const std::string& host) {
+    if (!acceptable_host(host)) return std::nullopt;
+    const std::string address = host.substr(0, host.find('%'));
+    in6_addr v6{};
+    if (::inet_pton(AF_INET6, address.c_str(), &v6) == 1) return "[" + address + "]";
+    return host;
+}
+
+int connect_client(const std::string& host, unsigned short port, double timeout_seconds) noexcept {
+    const auto start = clock::now();
+    if (!acceptable_host(host)) return -1;
+    addrinfo hints{};
+    hints.ai_family = AF_UNSPEC;
+    hints.ai_socktype = SOCK_STREAM;
+    hints.ai_flags = AI_NUMERICSERV;
+    char service[8];
+    std::snprintf(service, sizeof(service), "%u", static_cast<unsigned>(port));
+    addrinfo* found = nullptr;
+    if (::getaddrinfo(host.c_str(), service, &hints, &found) != 0) return -1;
+    int fd = -1;
+    for (const addrinfo* ai = found; ai != nullptr && fd < 0; ai = ai->ai_next) {
+        const double left = timeout_seconds - seconds_since(start);
+        if (left <= 0.0) break;
+        fd = connect_to(ai->ai_addr, ai->ai_addrlen, left);
+    }
+    ::freeaddrinfo(found);
+    return fd;
+}
+
+int connect_client(unsigned short port, double timeout_seconds) noexcept {
+    return connect_client("127.0.0.1", port, timeout_seconds);
 }
 
 namespace {
@@ -267,16 +328,15 @@ int parse_status_field(const std::string& response) noexcept {
 
 }  // namespace
 
-std::optional<std::string> http_get(unsigned short port, const std::string& path,
-                                    double timeout_seconds, int* status_out,
-                                    std::size_t max_response_bytes) {
+std::optional<std::string> http_get(const std::string& host, unsigned short port,
+                                    const std::string& path, double timeout_seconds,
+                                    int* status_out, std::size_t max_response_bytes) {
     if (status_out != nullptr) *status_out = 0;
-    using clock = std::chrono::steady_clock;
     const auto start = clock::now();
-    const int fd = connect_client(port, timeout_seconds);
+    const int fd = connect_client(host, port, timeout_seconds);
     if (fd < 0) return std::nullopt;
-    const std::string request =
-        "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
+    const std::string request = "GET " + path + " HTTP/1.1\r\nHost: " + *host_header(host) +
+                                "\r\nConnection: close\r\n\r\n";
     if (!send_all(fd, request)) {
         ::close(fd);
         return std::nullopt;
@@ -288,8 +348,7 @@ std::optional<std::string> http_get(unsigned short port, const std::string& path
         // Same total-deadline rule as read_request_head, mirrored client
         // side: each drip of bytes resets a per-recv timer but not this
         // clock, so a slow-loris *server* cannot pin the caller.
-        const double elapsed = std::chrono::duration<double>(clock::now() - start).count();
-        const double remaining = timeout_seconds - elapsed;
+        const double remaining = timeout_seconds - seconds_since(start);
         if (remaining <= 0.0) break;  // deadline: treat as torn
         set_recv_timeout(fd, remaining);
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
@@ -316,6 +375,12 @@ std::optional<std::string> http_get(unsigned short port, const std::string& path
     const std::size_t body = response.find("\r\n\r\n");
     if (body == std::string::npos) return std::nullopt;
     return response.substr(body + 4);
+}
+
+std::optional<std::string> http_get(unsigned short port, const std::string& path,
+                                    double timeout_seconds, int* status_out,
+                                    std::size_t max_response_bytes) {
+    return http_get("127.0.0.1", port, path, timeout_seconds, status_out, max_response_bytes);
 }
 
 #endif  // LEVY_SERVE_HAVE_POSIX_SOCKETS

@@ -115,22 +115,48 @@ bool send_all(int fd, const std::string& bytes) noexcept;
 /// port). Throws std::runtime_error when the socket cannot be set up.
 [[nodiscard]] std::pair<int, unsigned short> listen_on(unsigned short port);
 
-/// --- Minimal client (tests, levyserve selftest, load generator) ----------
+/// --- Minimal client (tests, levyserve selftest, load generator, levytop) --
 
-/// Connect to 127.0.0.1:`port` with recv/send timeouts applied; returns the
-/// fd, or -1 when the connection fails. The fault drills use this directly
-/// to play misbehaving clients (stalls, mid-response resets).
+/// The Host header value http_get sends for `host` (an IPv6 literal in
+/// brackets, without its zone ID, per RFC 7230 and RFC 6874), or nullopt
+/// when `host` is refused: empty, over 253 bytes, holding a control byte,
+/// space, DEL or non-ASCII byte (which could split the request head), or
+/// with an empty '.'-label or one over 63 bytes (which no DNS query can
+/// carry). Names with '_' and zone IDs such as `fe80::1%eth0` pass.
+[[nodiscard]] std::optional<std::string> host_header(const std::string& host);
+
+/// Connect to `host`:`port` with recv/send timeouts applied; returns the
+/// fd, or -1 when `host` is refused (see host_header; no lookup is made),
+/// does not resolve, or no address accepts before `timeout_seconds` have
+/// passed. `host` is an IP literal or a name, both resolved by getaddrinfo;
+/// each address gets only the time left. Name resolution counts against the
+/// deadline but cannot be cut short: getaddrinfo has no timeout, so a slow
+/// resolver can overrun it (an IP literal never reaches a resolver). The
+/// fault drills use this directly to play misbehaving clients (stalls,
+/// mid-response resets).
+[[nodiscard]] int connect_client(const std::string& host, unsigned short port,
+                                 double timeout_seconds) noexcept;
+
+/// connect_client against 127.0.0.1.
 [[nodiscard]] int connect_client(unsigned short port, double timeout_seconds) noexcept;
 
-/// One blocking GET of `path` against 127.0.0.1:`port` over a fresh
-/// connection. Returns nullopt when unreachable, the response is torn, the
-/// status line is not a well-formed three-digit HTTP/1.1 status, the
-/// response exceeds `max_response_bytes`, or the *total* wall clock exceeds
-/// `timeout_seconds` — the client-side mirror of read_request_head's
-/// slow-loris rule: a server dripping one byte per recv-timeout window
-/// resets a per-recv timer forever but cannot outlive the total deadline.
-/// `status_out`, when given, receives the numeric status (0 on no reply or
-/// a garbage status line).
+/// One blocking GET of `path` against `host`:`port` over a fresh
+/// connection. Returns nullopt when unresolvable or unreachable, the
+/// response is torn, the status line is not a well-formed three-digit
+/// HTTP/1.1 status, the response exceeds `max_response_bytes`, or the
+/// *total* wall clock exceeds `timeout_seconds` — the client-side mirror of
+/// read_request_head's slow-loris rule: a server dripping one byte per
+/// recv-timeout window resets a per-recv timer forever but cannot outlive
+/// the total deadline. The deadline covers connecting as connect_client
+/// describes, name resolution excepted. `status_out`, when given, receives
+/// the numeric status (0 on no reply or a garbage status line).
+[[nodiscard]] std::optional<std::string> http_get(const std::string& host, unsigned short port,
+                                                  const std::string& path,
+                                                  double timeout_seconds = 5.0,
+                                                  int* status_out = nullptr,
+                                                  std::size_t max_response_bytes = 1 << 26);
+
+/// http_get against 127.0.0.1.
 [[nodiscard]] std::optional<std::string> http_get(unsigned short port,
                                                   const std::string& path,
                                                   double timeout_seconds = 5.0,

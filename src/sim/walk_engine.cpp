@@ -19,6 +19,14 @@ __extension__ typedef __int128 int128;
 /// per walker and would otherwise grow it without bound.
 constexpr std::size_t kDistCacheLimit = 1024;
 
+/// Slot hash for dist_cache. Round exponents (2, 2.5, 3) differ only in
+/// their top bits, so fold those down before the Fibonacci multiply spreads
+/// every input bit into the product's upper half, which is what is kept.
+std::size_t slot_hash(std::uint64_t alpha_bits) noexcept {
+    const std::uint64_t folded = alpha_bits ^ (alpha_bits >> 32);
+    return static_cast<std::size_t>((folded * 0x9E3779B97F4A7C15ULL) >> 32);
+}
+
 char* store_rng(char* p, const rng& g) noexcept {
     const rng::state st = g.save();
     p = store_le(p, st.seed);
@@ -43,20 +51,63 @@ rng load_rng(const char* p) noexcept {
 void dist_cache::reset(std::uint64_t cap) {
     if (!entries_.empty() && (cap_ != cap || entries_.size() > kDistCacheLimit)) {
         entries_.clear();
+        slots_.clear();
+        last_ = kEmpty;
     }
     cap_ = cap;
 }
 
 std::uint32_t dist_cache::index_for(double alpha) {
-    return index_for_bits(std::bit_cast<std::uint64_t>(alpha));
+    const auto bits = std::bit_cast<std::uint64_t>(alpha);
+    const std::uint32_t ix = find(bits);
+    if (ix == kEmpty) return add(bits);
+    entries_[ix].dist.build_head();  // no-op once built
+    return ix;
 }
 
 std::uint32_t dist_cache::index_for_bits(std::uint64_t alpha_bits) {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].alpha_bits == alpha_bits) return static_cast<std::uint32_t>(i);
+    const std::uint32_t ix = find(alpha_bits);
+    return ix == kEmpty ? add(alpha_bits) : ix;
+}
+
+std::uint32_t dist_cache::find(std::uint64_t alpha_bits) noexcept {
+    if (alpha_bits == last_bits_) return last_;
+    return probe(alpha_bits);
+}
+
+std::uint32_t dist_cache::probe(std::uint64_t alpha_bits) noexcept {
+    if (slots_.empty()) return kEmpty;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = slot_hash(alpha_bits) & mask;; s = (s + 1) & mask) {
+        const std::uint32_t ix = slots_[s];
+        if (ix == kEmpty) return kEmpty;
+        if (entries_[ix].alpha_bits == alpha_bits) {
+            last_bits_ = alpha_bits;
+            return last_ = ix;
+        }
     }
+}
+
+std::uint32_t dist_cache::add(std::uint64_t alpha_bits) {
     entries_.push_back({alpha_bits, jump_distribution(std::bit_cast<double>(alpha_bits), cap_)});
-    return static_cast<std::uint32_t>(entries_.size() - 1);
+    const auto ix = static_cast<std::uint32_t>(entries_.size() - 1);
+    // Keep the load factor at most 3/4: probes stay short, and a per-walker
+    // strategy's k entries cost at most 8k/3 bytes of slots.
+    if (4 * entries_.size() > 3 * slots_.size()) {
+        slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), kEmpty);
+        for (std::uint32_t i = 0; i <= ix; ++i) place(i);
+    } else {
+        place(ix);
+    }
+    last_bits_ = alpha_bits;
+    return last_ = ix;
+}
+
+void dist_cache::place(std::uint32_t ix) noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = slot_hash(entries_[ix].alpha_bits) & mask;
+    while (slots_[s] != kEmpty) s = (s + 1) & mask;
+    slots_[s] = ix;
 }
 
 // ---------------------------------------------------------------------------

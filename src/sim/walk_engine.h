@@ -43,10 +43,12 @@ struct best_state {
 };
 
 /// Per-run jump-distribution cache keyed by (α bit pattern) for the run's
-/// cap; a plain vector with linear scan — strategies use few distinct
-/// exponents per trial, and ordered scans keep results layout-independent.
-/// Shared by every walker block of a run (sharded or not); rebuilds are
-/// deterministic, so pooling and eviction never affect results.
+/// cap. Entries keep insertion-order indices, found through a hash of the
+/// α bits with the last hit checked first: fixed strategies hit one entry
+/// per spawn, while a fresh α per walker (uniform_exponent) adds one entry
+/// per walker and must not make spawning quadratic. Shared by every walker
+/// block of a run (sharded or not); rebuilds are deterministic, so pooling
+/// and eviction never affect results.
 class dist_cache {
 public:
     /// Prepare for a run with this cap: entries for another cap — or an
@@ -54,9 +56,17 @@ public:
     /// rebuild on demand.
     void reset(std::uint64_t cap);
 
-    /// Find-or-create the entry for `alpha`; the returned index stays valid
-    /// until the next reset() (the cache only grows within a run).
+    /// A spawning walker's find-or-create for `alpha`. The second request
+    /// for an exponent builds its distribution's pow-free head
+    /// (jump_distribution::build_head): the exponent is shared, so its
+    /// draws will be many. A per-walker exponent is requested once and
+    /// keeps the head-less sampler and its small footprint. The returned
+    /// index stays valid until the next reset() (the cache only grows
+    /// within a run).
     [[nodiscard]] std::uint32_t index_for(double alpha);
+
+    /// Find-or-create by α bit pattern without counting a request — how a
+    /// reloaded walker re-resolves the exponent it was spawned with.
     [[nodiscard]] std::uint32_t index_for_bits(std::uint64_t alpha_bits);
 
     /// The α bit pattern of entry `ix` — the stable key a spilled walker
@@ -69,6 +79,7 @@ public:
         return entries_[ix].dist;
     }
 
+    [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
     [[nodiscard]] std::uint64_t cap() const noexcept { return cap_; }
 
 private:
@@ -76,8 +87,25 @@ private:
         std::uint64_t alpha_bits;
         jump_distribution dist;
     };
+    /// Index of the entry for `alpha_bits`, or kEmpty. The last hit's key
+    /// is compared first, small enough to inline: a fixed strategy hits it
+    /// on every spawn and reload.
+    [[nodiscard]] std::uint32_t find(std::uint64_t alpha_bits) noexcept;
+    /// find's hashed lookup, past the last hit.
+    [[nodiscard]] std::uint32_t probe(std::uint64_t alpha_bits) noexcept;
+    /// Append an entry for `alpha_bits` and index it.
+    std::uint32_t add(std::uint64_t alpha_bits);
+    /// Put entry `ix` in the first free slot of its probe sequence.
+    void place(std::uint32_t ix) noexcept;
+
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
     std::uint64_t cap_ = kNoCap;
     std::vector<entry> entries_;
+    std::vector<std::uint32_t> slots_;  // open addressing, linear probing
+    // The last hit: entry last_ has key last_bits_. last_ is kEmpty while
+    // there are no entries, so the memo then answers "absent".
+    std::uint64_t last_bits_ = 0;
+    std::uint32_t last_ = kEmpty;
 };
 
 /// Dense structure-of-arrays block of in-flight walkers — the unit of

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -97,6 +98,47 @@ TEST(Ring, SamplingIsUniform) {
 TEST(Ring, SamplingRingZeroReturnsCenter) {
     rng g = rng::seeded(1);
     EXPECT_EQ(sample_ring({3, 3}, 0, g), (point{3, 3}));
+}
+
+/// ring_node as it was written with a 64-bit divide: the reference for the
+/// comparison-based side/offset split.
+point ring_node_by_divide(point center, std::int64_t d, std::uint64_t j) {
+    if (d == 0) return center;
+    const auto o = static_cast<std::int64_t>(j % static_cast<std::uint64_t>(d));
+    point rel;
+    switch (j / static_cast<std::uint64_t>(d)) {
+        case 0: rel = {d - o, o}; break;
+        case 1: rel = {-o, d - o}; break;
+        case 2: rel = {o - d, -o}; break;
+        default: rel = {o, o - d}; break;
+    }
+    return center + rel;
+}
+
+TEST(Ring, NodeMatchesDivideReferenceOnEverySmallRing) {
+    const point center{-17, 29};
+    for (std::int64_t d = 0; d <= 300; ++d) {
+        for (std::uint64_t j = 0; j < ring_size(d); ++j) {
+            ASSERT_EQ(ring_node(center, d, j), ring_node_by_divide(center, d, j))
+                << "d=" << d << " j=" << j;
+        }
+    }
+}
+
+TEST(Ring, NodeMatchesDivideReferenceUpToTwoToThe48) {
+    // Jump lengths are clamped at 2^48, so rings that large are drawn.
+    rng g = rng::seeded(0x41e6);
+    for (int i = 0; i < 200000; ++i) {
+        const auto d = static_cast<std::int64_t>(1 + g.below(std::uint64_t{1} << 48));
+        const std::uint64_t size = ring_size(d);
+        // Alternate uniform indices with ones at and next to a side
+        // boundary j = d, 2d, 3d, where the comparisons flip.
+        const std::uint64_t boundary = (1 + g.below(3)) * static_cast<std::uint64_t>(d);
+        const std::uint64_t j =
+            i % 2 == 0 ? g.below(size) : std::min(size - 1, boundary - 1 + g.below(3));
+        ASSERT_EQ(ring_node(origin, d, j), ring_node_by_divide(origin, d, j))
+            << "d=" << d << " j=" << j;
+    }
 }
 
 }  // namespace

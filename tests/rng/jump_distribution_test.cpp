@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "src/rng/jump_distribution.h"
 #include "src/rng/rng_stream.h"
 #include "src/rng/zeta.h"
+#include "src/stats/goodness_of_fit.h"
 
 namespace levy {
 namespace {
@@ -132,6 +135,60 @@ TEST(JumpDistribution, CappedMeanMatchesEmpirical) {
     double sum = 0.0;
     for (int i = 0; i < n; ++i) sum += static_cast<double>(d.sample_capped(g, cap));
     EXPECT_NEAR(sum / n, d.mean_capped(cap), d.mean_capped(cap) * 0.03);
+}
+
+/// Pearson chi-square of `draws` uncapped jump lengths against Eq. 3
+/// itself: a cell per d = 0, 1, …, M, pooled rightward until each expects
+/// at least 5 counts (the usual validity rule), closed by the tail cell
+/// P(d > M) = c_α·ζtail(M + 1, α). M = 100 lies past the head's reach
+/// (zipf_sampler::kHeadSize), so the seam between head-settled and
+/// pow-settled lengths sits inside the tested range.
+stats::chi_square_result chi_square_against_eq3(const jump_distribution& d, std::uint64_t seed,
+                                                std::uint64_t draws) {
+    constexpr std::uint64_t M = 100;
+    static_assert(M > zipf_sampler::kHeadSize);
+    std::vector<std::uint64_t> counts(M + 2, 0);  // d = 0..M, then d > M
+    rng g = rng::seeded(seed);
+    for (std::uint64_t i = 0; i < draws; ++i) ++counts[std::min(d.sample(g), M + 1)];
+    std::vector<std::uint64_t> observed;
+    std::vector<double> probs;
+    std::uint64_t cell_count = 0;
+    double cell_prob = 0.0;
+    for (std::uint64_t k = 0; k <= M; ++k) {
+        cell_count += counts[k];
+        cell_prob += d.pmf(k);
+        if (cell_prob * static_cast<double>(draws) >= 5.0) {
+            observed.push_back(cell_count);
+            probs.push_back(cell_prob);
+            cell_count = 0;
+            cell_prob = 0.0;
+        }
+    }
+    observed.push_back(cell_count + counts[M + 1]);
+    probs.push_back(cell_prob + d.normalizer() * zeta_tail(M + 1, d.alpha()));
+    return stats::chi_square_test(observed, probs, draws);
+}
+
+TEST(JumpDistribution, UncappedSamplerFollowsEquationThreeExactly) {
+    // The parity suites cannot catch a sampler bug, because every engine
+    // draws through this sampler; this anchors it to the law. Each case is
+    // a fixed seed; the false-alarm budget is p < 1e-6 per case (14 cases).
+    constexpr std::uint64_t kDraws = 2'000'000;
+    const double alphas[] = {2.0, 16.0 / 7.0, 18.0 / 7.0, 20.0 / 7.0, 1.1, 1.5, 3.5};
+    for (const double alpha : alphas) {
+        for (const bool with_head : {false, true}) {
+            jump_distribution d(alpha);
+            if (with_head) d.build_head();
+            ASSERT_EQ(d.has_head(), with_head);
+            const std::uint64_t seed = 0xe93 + static_cast<std::uint64_t>(alpha * 1000.0) +
+                                       (with_head ? 0x10000u : 0u);
+            const stats::chi_square_result r = chi_square_against_eq3(d, seed, kDraws);
+            EXPECT_GT(r.p_value, 1e-6) << "alpha=" << alpha << " head=" << with_head
+                                       << " chi2=" << r.statistic
+                                       << " df=" << r.degrees_of_freedom;
+            EXPECT_GE(r.degrees_of_freedom, 20u) << "alpha=" << alpha;
+        }
+    }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "src/rng/rng_stream.h"
@@ -286,6 +288,169 @@ TEST(ZipfSampler, MeanMatchesZetaRatio) {
     for (int i = 0; i < n; ++i) sum += static_cast<double>(z(g));
     const double expected = riemann_zeta(alpha - 1.0) / riemann_zeta(alpha);
     EXPECT_NEAR(sum / n, expected, 0.02);
+}
+
+// --- The pow-free head ------------------------------------------------------
+
+/// zipf_sampler's Devroye loop as it stood before the head existed, kept
+/// verbatim: the reference every head-enabled or head-less draw must match
+/// value for value and uniform for uniform.
+class devroye_reference {
+public:
+    explicit devroye_reference(double alpha)
+        : alpha_(alpha), inv_alpha_minus_1_(1.0 / (alpha - 1.0)) {
+        const double b = std::exp2(alpha - 1.0);
+        b_minus_1_ = b - 1.0;
+        inv_b_ = 1.0 / b;
+    }
+
+    std::uint64_t operator()(rng& g) const {
+        constexpr double kMaxX = 281474976710656.0;  // 2^48
+        for (;;) {
+            const double u = g.uniform_positive();
+            const double v = g.uniform();
+            const double xr = std::floor(std::pow(u, -inv_alpha_minus_1_));
+            const double x = std::min(xr, kMaxX);
+            const double t = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
+            if (v * x * (t - 1.0) / b_minus_1_ <= t * inv_b_) {
+                return static_cast<std::uint64_t>(x);
+            }
+        }
+    }
+
+private:
+    double alpha_;
+    double inv_alpha_minus_1_;
+    double b_minus_1_;
+    double inv_b_;
+};
+
+/// Draw `n` values from the reference, a head-less sampler, and a sampler
+/// with its head, each from its own copy of `seed`'s stream; returns the
+/// number of mismatches (value or final stream position).
+std::uint64_t head_mismatches(double alpha, std::uint64_t seed, std::uint64_t n) {
+    const devroye_reference ref(alpha);
+    const zipf_sampler plain(alpha);
+    zipf_sampler headed(alpha);
+    headed.build_head();
+    rng g_ref = rng::seeded(seed), g_plain = rng::seeded(seed), g_head = rng::seeded(seed);
+    std::uint64_t bad = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t want = ref(g_ref);
+        bad += static_cast<std::uint64_t>(plain(g_plain) != want);
+        bad += static_cast<std::uint64_t>(headed(g_head) != want);
+    }
+    const std::uint64_t next = g_ref();
+    bad += static_cast<std::uint64_t>(g_plain() != next);
+    bad += static_cast<std::uint64_t>(g_head() != next);
+    return bad;
+}
+
+TEST(ZipfHead, BuiltOnlyOnRequestAndInRange) {
+    zipf_sampler z(2.5);
+    EXPECT_FALSE(z.has_head());
+    EXPECT_EQ(z.head_lookup(0.9), 0u);  // no head: nothing is settled
+    z.build_head();
+    EXPECT_TRUE(z.has_head());
+    const zipf_sampler copy = z;  // copies share the immutable head
+    EXPECT_TRUE(copy.has_head());
+    zipf_sampler huge(zipf_sampler::kHeadMaxAlpha * 2.0);
+    huge.build_head();
+    EXPECT_FALSE(huge.has_head());
+}
+
+TEST(ZipfHead, DrawsMatchReferenceLoopExactly) {
+    // 10^7 draws per exponent, from α barely above 1 (the head settles only
+    // a third of attempts) to α = 9 (nearly all mass at x = 1), including
+    // the E7 sweep's exponents 16/7, 18/7 and 20/7. One thread per exponent.
+    const std::vector<double> alphas = {1.05,       1.1,        1.5, 2.0, 16.0 / 7.0,
+                                        18.0 / 7.0, 20.0 / 7.0, 3.0, 3.5, 9.0};
+    constexpr std::uint64_t kDraws = 10'000'000;
+    std::vector<std::uint64_t> bad(alphas.size(), 0);
+    std::vector<std::thread> workers;
+    for (std::size_t a = 0; a < alphas.size(); ++a) {
+        workers.emplace_back([&, a] { bad[a] = head_mismatches(alphas[a], 0x4ead + a, kDraws); });
+    }
+    for (std::thread& w : workers) w.join();
+    for (std::size_t a = 0; a < alphas.size(); ++a) {
+        EXPECT_EQ(bad[a], 0u) << "alpha=" << alphas[a];
+    }
+}
+
+TEST(ZipfHead, FreshExponentPerDrawMatchesReferenceLoop) {
+    // A fresh α per draw, as per-walker strategies use: the head-less
+    // sampler over 10^7 exponents, and a head built for every 10th of them
+    // (a head costs ~65 pow calls to build).
+    constexpr std::uint64_t kDraws = 10'000'000;
+    constexpr unsigned kThreads = 4;
+    std::vector<std::uint64_t> bad(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (unsigned w = 0; w < kThreads; ++w) {
+        workers.emplace_back([&, w] {
+            rng pick = rng::seeded(0xf4e5 + w);
+            rng g_ref = rng::seeded(0x5eed + w);
+            rng g = g_ref;
+            for (std::uint64_t i = w; i < kDraws; i += kThreads) {
+                const double alpha = pick.uniform(1.05, 9.0);
+                zipf_sampler z(alpha);
+                if (i % 10 == 0) z.build_head();
+                bad[w] += static_cast<std::uint64_t>(z(g) != devroye_reference(alpha)(g_ref));
+            }
+            bad[w] += static_cast<std::uint64_t>(g() != g_ref());
+        });
+    }
+    for (std::thread& w : workers) w.join();
+    for (unsigned w = 0; w < kThreads; ++w) EXPECT_EQ(bad[w], 0u) << "thread " << w;
+}
+
+TEST(ZipfHead, LookupIsExactAroundEveryThresholdAndGuardEdge) {
+    // For each threshold T_n = n^{1-α}, n ≤ H + 1, probe u a few ulps either
+    // side of T_n and of both guard edges T_n·(1 ∓ δ). Whenever the head
+    // settles u, it must give the loop's floor(pow(u, -1/(α-1))). Between
+    // two guard bands it must settle (the head is actually used); on a
+    // threshold itself it must defer to pow.
+    constexpr std::uint64_t H = zipf_sampler::kHeadSize;
+    constexpr double delta = zipf_sampler::kHeadGuard;
+    for (const double alpha : {1.05, 1.1, 1.5, 2.0, 16.0 / 7.0, 18.0 / 7.0, 20.0 / 7.0, 3.0,
+                               3.5, 9.0, 100.0}) {
+        zipf_sampler z(alpha);
+        z.build_head();
+        const double inv_alpha_minus_1 = 1.0 / (alpha - 1.0);
+        const auto loop_x = [&](double u) { return std::floor(std::pow(u, -inv_alpha_minus_1)); };
+        std::uint64_t settled = 0;
+        for (std::uint64_t n = 1; n <= H + 1; ++n) {
+            const double t = std::pow(static_cast<double>(n), 1.0 - alpha);
+            for (const double anchor : {t, t * (1.0 - delta), t * (1.0 + delta)}) {
+                double u = anchor;
+                for (int k = 0; k < 4; ++k) u = std::nextafter(u, 0.0);
+                for (int k = -4; k <= 4; ++k, u = std::nextafter(u, 2.0)) {
+                    if (!(u > 0.0 && u <= 1.0)) continue;
+                    const std::uint64_t x = z.head_lookup(u);
+                    if (x == 0) continue;
+                    ++settled;
+                    ASSERT_LE(x, H);
+                    ASSERT_EQ(static_cast<double>(x), loop_x(u))
+                        << "alpha=" << alpha << " n=" << n << " u=" << u;
+                }
+            }
+            EXPECT_EQ(z.head_lookup(t), 0u) << "alpha=" << alpha << " n=" << n;
+            if (n <= H) {
+                // Just outside both guard bands, between T_{n+1} and T_n.
+                const double below = std::nextafter(t * (1.0 - delta), 0.0);
+                const double next = std::pow(static_cast<double>(n + 1), 1.0 - alpha);
+                const double above = std::nextafter(next * (1.0 + delta), 2.0);
+                for (const double u : {below, above}) {
+                    EXPECT_EQ(z.head_lookup(u), n) << "alpha=" << alpha << " n=" << n;
+                    EXPECT_EQ(static_cast<double>(n), loop_x(u)) << "alpha=" << alpha;
+                }
+            }
+        }
+        EXPECT_GT(settled, 0u) << "alpha=" << alpha;
+        // u = 1 sits in T_1's band; u below T_{H+1}'s band is beyond the head.
+        EXPECT_EQ(z.head_lookup(1.0), 0u);
+        const double past = std::pow(static_cast<double>(H + 1), 1.0 - alpha) * (1.0 - 2 * delta);
+        EXPECT_EQ(z.head_lookup(past), 0u) << "alpha=" << alpha;
+    }
 }
 
 }  // namespace

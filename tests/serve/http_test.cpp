@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "src/serve/http.h"
 
 #if LEVY_SERVE_HAVE_POSIX_SOCKETS
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -280,6 +284,104 @@ TEST(HttpGetClient, WellFormedErrorStatusStillParses) {
     ASSERT_TRUE(body.has_value());
     EXPECT_EQ(*body, "oops");
     EXPECT_EQ(status, 404);
+}
+
+TEST(HttpGetClient, HostArgumentResolvesNamesAndRejectsUnresolvable) {
+    for (const std::string host : {"localhost", "127.0.0.1"}) {
+        one_shot_server server([](int client) {
+            drain_request(client);
+            (void)send_all(client, "HTTP/1.1 200 OK\r\n\r\nhello");
+        });
+        int status = -1;
+        const auto body = http_get(host, server.port(), "/", 2.0, &status);
+        ASSERT_TRUE(body.has_value()) << host;
+        EXPECT_EQ(*body, "hello");
+        EXPECT_EQ(status, 200);
+    }
+    // Strings no lookup is made for: a 64-byte label (DNS allows 63), an
+    // empty label, a space, a CRLF that would smuggle a header into the
+    // request, and the empty string. They are refused before getaddrinfo,
+    // so no query leaves the machine, and none of them reaches the one-shot
+    // listener: its single answer is still there for the request at the end.
+    one_shot_server server([](int client) {
+        drain_request(client);
+        (void)send_all(client, "HTTP/1.1 200 OK\r\n\r\nlast");
+    });
+    for (const std::string& host :
+         {std::string(64, 'a') + ".invalid", std::string("a..invalid"),
+          std::string("no such host"), std::string("127.0.0.1\r\nX-Injected: 1"),
+          std::string()}) {
+        int status = -1;
+        EXPECT_FALSE(http_get(host, server.port(), "/", 1.0, &status).has_value()) << host;
+        EXPECT_EQ(status, 0);
+        EXPECT_EQ(connect_client(host, server.port(), 1.0), -1) << host;
+        EXPECT_EQ(host_header(host), std::nullopt) << host;
+    }
+    EXPECT_EQ(http_get("localhost", server.port(), "/", 2.0), std::optional<std::string>("last"));
+    // Names a resolver may answer pass through untouched, '_' included
+    // (container service names); an IPv6 literal is bracketed and loses its
+    // zone ID in the Host header. Only the header is checked here: looking
+    // these names up would query DNS.
+    EXPECT_EQ(host_header("bench_exporter"), "bench_exporter");
+    EXPECT_EQ(host_header("node-1.example"), "node-1.example");
+    EXPECT_EQ(host_header(std::string(63, 'a') + ".b"), std::string(63, 'a') + ".b");
+    EXPECT_EQ(host_header("127.0.0.1"), "127.0.0.1");
+    EXPECT_EQ(host_header("::1"), "[::1]");
+    EXPECT_EQ(host_header("fe80::1%eth0"), "[fe80::1]");
+    EXPECT_EQ(host_header("caf\xc3\xa9.example"), std::nullopt);
+    EXPECT_EQ(host_header("tab\there"), std::nullopt);
+    EXPECT_EQ(host_header("del\x7f"), std::nullopt);
+    EXPECT_EQ(host_header(std::string(254, 'a')), std::nullopt);
+}
+
+/// Listen on [::1] at an ephemeral port; returns (fd, port), or fd -1 when
+/// the host has no IPv6 loopback.
+std::pair<int, unsigned short> listen_on_ipv6_loopback() {
+    const int fd = ::socket(AF_INET6, SOCK_STREAM, 0);
+    if (fd < 0) return {-1, 0};
+    sockaddr_in6 addr{};
+    addr.sin6_family = AF_INET6;
+    addr.sin6_addr = in6addr_loopback;
+    socklen_t len = sizeof(addr);
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd, 4) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+        ::close(fd);
+        return {-1, 0};
+    }
+    return {fd, ntohs(addr.sin6_port)};
+}
+
+// An IPv6 literal, with or without a zone ID, goes to getaddrinfo as given
+// and reaches the server with the bracketed, zone-less Host header. The
+// zone is numeric because glibc takes an interface name only for a
+// link-local address, and loopback is not link-local.
+TEST(HttpGetClient, Ipv6LiteralWithZoneIdConnectsAndSendsBracketedHost) {
+    for (const std::string host : {"::1", "::1%1"}) {
+        const std::pair<int, unsigned short> listener = listen_on_ipv6_loopback();
+        if (listener.first < 0) GTEST_SKIP() << "no IPv6 loopback";
+        const int fd = listener.first;
+        std::string head;
+        std::thread server([fd, &head] {
+            pollfd ready{fd, POLLIN, 0};
+            if (::poll(&ready, 1, 2000) != 1) return;  // the client never came
+            const int client = ::accept(fd, nullptr, nullptr);
+            if (client < 0) return;
+            char buf[512];
+            while (head.find("\r\n\r\n") == std::string::npos) {
+                const ssize_t n = ::recv(client, buf, sizeof(buf), 0);
+                if (n <= 0) break;
+                head.append(buf, static_cast<std::size_t>(n));
+            }
+            (void)send_all(client, "HTTP/1.1 200 OK\r\n\r\nsix");
+            ::close(client);
+        });
+        const auto body = http_get(host, listener.second, "/", 2.0);
+        server.join();
+        ::close(fd);
+        EXPECT_EQ(body, std::optional<std::string>("six")) << host;
+        EXPECT_NE(head.find("\r\nHost: [::1]\r\n"), std::string::npos) << head;
+    }
 }
 
 #endif  // LEVY_SERVE_HAVE_POSIX_SOCKETS

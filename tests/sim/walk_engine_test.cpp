@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -232,6 +233,82 @@ TEST(WalkEnginePool, LocalEngineIsReusableAcrossConfigs) {
             const rng stream = rng::seeded(seed * 37 + cap % 97);
             EXPECT_EQ(fresh.run_single(2.6, point{4, 4}, 300, stream, cap),
                       pooled.run_single(2.6, point{4, 4}, 300, stream, cap));
+        }
+    }
+}
+
+TEST(DistCache, IndicesKeepInsertionOrderAndHeadsNeedReuse) {
+    dist_cache dists;
+    dists.reset(kNoCap);
+    // Thousands of distinct exponents, as a per-walker strategy spawns them:
+    // indices are insertion order, lookups find them again, and an exponent
+    // requested once keeps the head-less sampler.
+    std::vector<double> alphas;
+    rng g = rng::seeded(0xd157);
+    for (int i = 0; i < 5000; ++i) alphas.push_back(g.uniform(2.0, 3.0));
+    alphas.push_back(2.0);
+    alphas.push_back(2.5);
+    alphas.push_back(3.0);  // round exponents differ only in their top bits
+    for (std::size_t i = 0; i < alphas.size(); ++i) {
+        ASSERT_EQ(dists.index_for(alphas[i]), i);
+    }
+    ASSERT_EQ(dists.size(), alphas.size());
+    for (std::size_t i = 0; i < alphas.size(); ++i) {
+        EXPECT_FALSE(dists.at(static_cast<std::uint32_t>(i)).has_head()) << i;
+        EXPECT_EQ(dists.alpha_bits(static_cast<std::uint32_t>(i)),
+                  std::bit_cast<std::uint64_t>(alphas[i]));
+        // A reloaded walker's lookup is not a second request.
+        EXPECT_EQ(dists.index_for_bits(std::bit_cast<std::uint64_t>(alphas[i])), i);
+        EXPECT_FALSE(dists.at(static_cast<std::uint32_t>(i)).has_head()) << i;
+    }
+    // A second spawn with the same exponent builds its head, and only its.
+    EXPECT_EQ(dists.index_for(alphas[1234]), 1234u);
+    EXPECT_TRUE(dists.at(1234).has_head());
+    EXPECT_FALSE(dists.at(1233).has_head());
+    EXPECT_FALSE(dists.at(1235).has_head());
+    EXPECT_EQ(dists.size(), alphas.size());
+    // Same cap, small enough: entries (and the head) survive a reset; an
+    // overgrown cache is dropped and indices restart at 0.
+    dists.reset(kNoCap);
+    EXPECT_EQ(dists.index_for(alphas[0]), 0u);
+    EXPECT_EQ(dists.size(), 1u);
+}
+
+TEST(DistCache, HeadFollowsReuseNotAliasPreparedCaps) {
+    dist_cache dists;
+    dists.reset(kNoCap);
+    EXPECT_EQ(dists.index_for(2.5), 0u);
+    EXPECT_FALSE(dists.at(0).has_head());
+    EXPECT_EQ(dists.index_for(2.5), 0u);
+    EXPECT_TRUE(dists.at(0).has_head());
+    dists.reset(kNoCap);  // same cap, few entries: kept, head and all
+    EXPECT_EQ(dists.index_for(2.5), 0u);
+    EXPECT_TRUE(dists.at(0).has_head());
+    // A cap the alias table serves never reaches the rejection loop.
+    dists.reset(64);
+    EXPECT_EQ(dists.size(), 0u);
+    EXPECT_EQ(dists.index_for(2.5), 0u);
+    EXPECT_EQ(dists.size(), 1u);  // the last hit was forgotten with its entry
+    EXPECT_EQ(dists.index_for(2.5), 0u);
+    EXPECT_FALSE(dists.at(0).has_head());
+    // A cap above the alias threshold draws by rejection, so it gets one.
+    dists.reset(jump_distribution::kAliasCapThreshold + 1);
+    EXPECT_EQ(dists.index_for(2.5), 0u);
+    EXPECT_EQ(dists.index_for(2.5), 0u);
+    EXPECT_TRUE(dists.at(0).has_head());
+}
+
+TEST(WalkEngineParallel, ParityWithHeadBuiltByReuse) {
+    // A pooled engine running many trials of one exponent builds the head
+    // after its first request; every trial must still match the scalar walk,
+    // which never builds one.
+    walk_engine engine;
+    for (const double alpha : {1.3, 2.0, 16.0 / 7.0, 2.8}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            expect_parallel_parity(engine, 12, fixed_exponent(alpha), point{9, -5}, 4000,
+                                   rng::seeded(seed * 101), kNoCap);
+            expect_parallel_parity(engine, 5, fixed_exponent(alpha), point{-6, 3}, 3000,
+                                   rng::seeded(seed * 103), 8192);
         }
     }
 }

@@ -24,16 +24,13 @@
 #include <thread>  // levylint:allow(raw-thread) client-side poll sleep only
 
 #include "src/obs/json.h"
+#include "src/serve/http.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#else
+#if !LEVY_SERVE_HAVE_POSIX_SOCKETS
 #error "levytop requires POSIX sockets"
 #endif
+
+#include <unistd.h>
 
 namespace {
 
@@ -90,56 +87,6 @@ options parse(int argc, char** argv) {
         usage(1);
     }
     return opts;
-}
-
-/// One GET over a fresh connection (the exporter answers Connection: close).
-/// Returns the response body, or nullopt when unreachable/malformed.
-std::optional<std::string> http_get(const std::string& host, int port,
-                                    const std::string& path) {
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &res) != 0) {
-        return std::nullopt;
-    }
-    int fd = -1;
-    for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-        if (fd < 0) continue;
-        timeval timeout{};
-        timeout.tv_sec = 2;
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0) return std::nullopt;
-    const std::string request = "GET " + path + " HTTP/1.1\r\nHost: " + host +
-                                "\r\nConnection: close\r\n\r\n";
-    std::size_t sent = 0;
-    while (sent < request.size()) {
-        const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-        if (n <= 0) {
-            ::close(fd);
-            return std::nullopt;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    std::string response;
-    char buf[4096];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0) break;
-        response.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    if (response.compare(0, 12, "HTTP/1.1 200") != 0) return std::nullopt;
-    const std::size_t body = response.find("\r\n\r\n");
-    if (body == std::string::npos) return std::nullopt;
-    return response.substr(body + 4);
 }
 
 std::string fmt_duration(double seconds) {
@@ -213,8 +160,12 @@ int main(int argc, char** argv) {
     std::signal(SIGPIPE, SIG_IGN);
     const bool redraw = !opts.once && !opts.raw && ::isatty(::fileno(stdout)) != 0;
     for (;;) {
-        const std::optional<std::string> body =
-            http_get(opts.host, opts.port, "/progress");
+        // The exporter answers every path with Connection: close; a
+        // non-200 reply or one past the 2 s deadline reads as no response.
+        int status = 0;
+        std::optional<std::string> body = levy::serve::http_get(
+            opts.host, static_cast<unsigned short>(opts.port), "/progress", 2.0, &status);
+        if (status != 200) body.reset();
         if (!body.has_value()) {
             if (opts.once) {
                 std::fprintf(stderr, "levytop: no response from %s:%d\n",
