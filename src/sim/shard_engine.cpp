@@ -99,6 +99,8 @@ struct shard {
     std::uint64_t rounds = 0;
     std::uint64_t last_touch = 0;  ///< eviction clock (LRU)
     best_state local;
+    /// The shard's walkers while it is resident, in a block borrowed from
+    /// the engine's pool; empty, with no capacity, while it is not.
     walker_block block;
 };
 
@@ -272,10 +274,16 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
         obs::get_counter("shard.spill_bytes").add(io_.size());
     };
 
+    // Hand a shard's block back to the pool (shard_engine.h, "Memory").
+    const auto release = [this](shard& s) {
+        s.block.clear();
+        spare_blocks_.push_back(std::move(s.block));
+        s.resident = false;
+    };
+
     const auto evict = [&](shard& s) {
         if (s.dirty) spill(s);
-        s.block.clear();
-        s.resident = false;
+        release(s);
     };
 
     /// Make `s` resident: restore its spill file, or (re)spawn from the
@@ -283,6 +291,10 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
     /// under the current allowance converges to the same local best.
     const auto touch = [&](shard& s) {
         if (s.resident) return;
+        if (!spare_blocks_.empty()) {  // else s.block starts empty and grows
+            s.block = std::move(spare_blocks_.back());
+            spare_blocks_.pop_back();
+        }
         const std::string path = shard_path(dir, id, s.index);
         const bool file_exists = std::filesystem::exists(path, ec) && !ec;
         if (file_exists && decode_shard(path, id, s, dists_, io_)) {
@@ -357,8 +369,7 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
                 // best, so a resume folds it in without recomputation.
                 s.done = true;
                 spill(s);
-                s.block.clear();
-                s.resident = false;
+                release(s);
             } else {
                 all_done = false;
             }

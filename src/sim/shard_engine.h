@@ -67,6 +67,17 @@ struct shard_run_stats {
 /// the in-memory batch engine — and to the scalar reference — at any shard
 /// count, epoch quantum, thread count, or eviction schedule.
 ///
+/// ## Memory
+///
+/// A shard holds walker memory only while it is resident: it borrows a
+/// walker_block from the engine's pool when it becomes resident and hands
+/// it back cleared, capacity kept, when it is evicted or finishes. The
+/// engine's walker memory is therefore bounded by the most shards it ever
+/// had resident at once, each block sized by the largest shard it held,
+/// and a warm engine spawns and reloads into pages it already has.
+/// `memory_budget` counts live walkers, not capacity, so the pool never
+/// moves a spill or a load.
+///
 /// ## Durability
 ///
 /// Spill files double as the resume state. Each carries the full run
@@ -102,6 +113,9 @@ private:
     /// The one spill/reload byte buffer: every encode and decode of every
     /// trial on this engine reuses its capacity (one shard file's worth).
     std::vector<char> io_;
+    /// Cleared walker blocks, capacity kept, that resident shards borrow
+    /// (see "Memory" above).
+    std::vector<walker_block> spare_blocks_;
 };
 
 }  // namespace levy::sim

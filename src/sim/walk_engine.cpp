@@ -43,6 +43,13 @@ rng load_rng(const char* p) noexcept {
     return rng::restore(st);
 }
 
+/// |a − b| for any two 64-bit coordinates, exact in unsigned arithmetic.
+std::uint64_t gap(std::int64_t a, std::int64_t b) noexcept {
+    const auto ua = static_cast<std::uint64_t>(a);
+    const auto ub = static_cast<std::uint64_t>(b);
+    return a < b ? ub - ua : ua - ub;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -243,6 +250,14 @@ bool walker_block::advance_one(std::size_t w, const engine_options& opts,
                                const dist_cache& dists, std::uint64_t allowance, point target,
                                best_state& best) {
     if (total_[w] == 0) {
+        // Reach bound (see walk_engine): retire, before any draw, a walker
+        // whose L1 distance to the target exceeds the steps it has left.
+        // Strict, so a walker that can still tie the best time walks on.
+        // elapsed < allowance here, and |Δx| + |Δy| is never formed, so
+        // nothing can wrap.
+        const std::uint64_t left = allowance - elapsed_[w];
+        const std::uint64_t dx = gap(target.x, x_[w]);
+        if (dx > left || gap(target.y, y_[w]) > left - dx) return true;
         // Begin a phase: same stream, same draw order as the scalar walk.
         ++phase_[w];
         // levylint:allow(conditional-main-draw): the phase-start guard is

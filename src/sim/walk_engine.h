@@ -114,8 +114,9 @@ private:
 ///
 /// Holds each walker's position, elapsed budget, per-walker main/path RNG
 /// streams, and the residue of the phase in progress (axis deltas, Bresenham
-/// progress, remaining steps). Walkers that hit or exhaust their allowance
-/// retire by swap-with-last compaction, so the live prefix stays dense.
+/// progress, remaining steps). Walkers that hit, exhaust their allowance,
+/// or can no longer reach the target within it retire by swap-with-last
+/// compaction, so the live prefix stays dense.
 ///
 /// A block serializes its live walkers to a flat little-endian byte layout
 /// (`kBytesPerWalker` per walker) and restores them bit-exactly, including
@@ -155,8 +156,9 @@ public:
     [[nodiscard]] bool deserialize(const char* bytes, std::size_t count, dist_cache& dists);
 
 private:
-    /// Advance walker slot w by one phase (or quantum chunk); may register
-    /// a hit in `best`. Returns true when the walker must retire.
+    /// Advance walker slot w, whose elapsed steps are below `allowance`, by
+    /// one phase (or quantum chunk); may register a hit in `best`. Returns
+    /// true when the walker must retire.
     bool advance_one(std::size_t w, const engine_options& opts, const dist_cache& dists,
                      std::uint64_t allowance, point target, best_state& best);
     /// One Bresenham replay step for slot w, tie coins from path_[w].
@@ -206,7 +208,9 @@ private:
 ///    walker index) over walkers whose time fits the budget, which is
 ///    provably what the scalar shrinking-budget loop returns; the engine
 ///    maintains that minimum with an order-independent registration rule
-///    (see best_state), so epoch interleaving cannot change the outcome.
+///    (see best_state), so epoch interleaving cannot change the outcome;
+///  - a walker retired by the reach bound (below) could only have hit
+///    after its allowance, so retiring it drops no hit the lex-min keeps.
 ///
 /// ## Why it is fast
 ///
@@ -220,6 +224,19 @@ private:
 /// with the O(1) alias-table jump sampler for capped runs (see
 /// `jump_distribution`'s capped constructor) this removes the per-step
 /// costs that dominate the scalar loop on long-jump (small α) workloads.
+///
+/// A walk also moves at most one lattice edge per step, so a walker that
+/// has used e steps and stands D = ‖target − x‖₁ away cannot hit before
+/// step e + D. At each phase start, before any draw, a walker retires when
+/// e + D exceeds its allowance (the budget, or the best time registered so
+/// far): the *reach bound*. It is exact because such a walker could only
+/// register a time the lex-min discards, and its streams are its own. It
+/// is strict because a walker that can still tie the best time may win on
+/// the smaller id. It sits at phase start because there the stored
+/// position is the walker's node and retiring saves the phase's draws;
+/// mid-phase, a skipped phase keeps no node to measure from. Once a hit is
+/// known the bound retires almost every walker not heading straight for
+/// the target.
 ///
 /// For walker counts past RAM, see sim/shard_engine: the out-of-core
 /// sharded mode partitions the same walker state into spillable blocks and

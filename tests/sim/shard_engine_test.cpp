@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -103,6 +104,34 @@ TEST_F(ShardEngineTest, ParityRandomizedAndRoundRobinStrategies) {
     }
 }
 
+TEST_F(ShardEngineTest, ParityWithScalarAtTheTieBoundary) {
+    // Targets one to three steps out: many walkers hit at the winning time,
+    // so the smaller-id tie-break picks the winner, across shard borders
+    // too. The reach bound must keep every walker that could still tie the
+    // best time, which the scalar shrinking-budget loop decides directly.
+    sharded_walk_engine engine;
+    shard_options opts = with_spill_dir({});
+    opts.shards = 4;
+    opts.sync_rounds = 0;  // parity, not durability: skip round syncs
+    for (const std::int64_t ell : {1, 2, 3}) {
+        for (const std::size_t k : {64, 256, 1024}) {
+            for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+                const rng stream = rng::seeded(seed * 1009 + k + ell);
+                const parallel_result scalar =
+                    parallel_hit(k, fixed_exponent(2.0), target_at(ell), 64, stream);
+                const parallel_result sharded = engine.run_parallel(
+                    k, fixed_exponent(2.0), target_at(ell), 64, stream, kNoCap, opts);
+                EXPECT_EQ(scalar.hit, sharded.hit) << "ell=" << ell << " k=" << k;
+                EXPECT_EQ(scalar.time, sharded.time) << "ell=" << ell << " k=" << k;
+                EXPECT_EQ(scalar.winner, sharded.winner) << "ell=" << ell << " k=" << k;
+                if (scalar.hit) {
+                    EXPECT_EQ(scalar.winner_alpha, sharded.winner_alpha);
+                }
+            }
+        }
+    }
+}
+
 TEST_F(ShardEngineTest, ParityEdgeCases) {
     sharded_walk_engine engine;
     const rng stream = rng::seeded(99);
@@ -149,7 +178,10 @@ TEST_F(ShardEngineTest, StatsAccountForSpillsAndLoads) {
     shard_options opts = with_spill_dir({});
     opts.shards = 4;
     opts.memory_budget = 2 * walker_block::kBytesPerWalker;  // at most 2 resident walkers
-    const parallel_result r = engine.run_parallel(8, fixed_exponent(2.5), point{200, 0}, 64,
+    // A target within reach that no walker of this seed hits: walkers keep
+    // walking (the reach bound retires one only once the target is out of
+    // reach), so shards outlive their first residency and come back.
+    const parallel_result r = engine.run_parallel(8, fixed_exponent(2.5), point{32, 0}, 64,
                                                   rng::seeded(7), kNoCap, opts);
     EXPECT_FALSE(r.hit);
     const shard_run_stats& stats = engine.last_stats();
@@ -190,22 +222,42 @@ TEST_F(ShardEngineTest, TrialDispatchRoutesShardedConfigs) {
 TEST_F(ShardEngineTest, PooledEngineIsReusableAcrossConfigs) {
     // The pooled thread-local engine must give the same answers as a fresh
     // instance even when runs alternate caps and shard counts (cache churn).
+    // Under a memory budget that forces evictions and reloads it must also
+    // keep the fresh engine's IO schedule: its shards borrow walker blocks
+    // warm from earlier runs, and which block a shard gets must not move a
+    // spill or a load.
     sharded_walk_engine& pooled = sharded_walk_engine::local();
+    std::uint64_t loads = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         for (const std::uint64_t cap : {kNoCap, std::uint64_t{16}}) {
-            sharded_walk_engine fresh;
-            shard_options opts = with_spill_dir({});
-            opts.shards = 1 + seed % 4;
-            const rng stream = rng::seeded(seed * 37 + cap % 97);
-            const parallel_result a =
-                fresh.run_parallel(9, fixed_exponent(2.6), point{4, 4}, 300, stream, cap, opts);
-            const parallel_result b =
-                pooled.run_parallel(9, fixed_exponent(2.6), point{4, 4}, 300, stream, cap, opts);
-            EXPECT_EQ(a.hit, b.hit);
-            EXPECT_EQ(a.time, b.time);
-            EXPECT_EQ(a.winner, b.winner);
+            for (const std::uint64_t memory_budget :
+                 {std::uint64_t{0}, std::uint64_t{3 * walker_block::kBytesPerWalker}}) {
+                sharded_walk_engine fresh;
+                shard_options opts = with_spill_dir({});
+                opts.shards = 1 + seed % 4;
+                opts.memory_budget = memory_budget;
+                const rng stream = rng::seeded(seed * 37 + cap % 97);
+                const parallel_result a = fresh.run_parallel(9, fixed_exponent(2.6), point{4, 4},
+                                                             300, stream, cap, opts);
+                const parallel_result b = pooled.run_parallel(9, fixed_exponent(2.6),
+                                                              point{4, 4}, 300, stream, cap, opts);
+                EXPECT_EQ(a.hit, b.hit);
+                EXPECT_EQ(a.time, b.time);
+                EXPECT_EQ(a.winner, b.winner);
+                // Field by field: rounds, spills, spilled bytes, loads,
+                // recomputes, peak resident walkers, peak resident bytes.
+                const auto schedule = [](const shard_run_stats& st) {
+                    return std::array{st.rounds,     st.spills,     st.spilled_bytes,
+                                      st.loads,      st.recomputed, st.peak_resident_walkers,
+                                      st.peak_resident_bytes};
+                };
+                EXPECT_EQ(schedule(fresh.last_stats()), schedule(pooled.last_stats()))
+                    << "seed=" << seed << " cap=" << cap << " budget=" << memory_budget;
+                loads += pooled.last_stats().loads;
+            }
         }
     }
+    EXPECT_GT(loads, 0u);  // the budget really sent shards to disk and back
 }
 
 /// --- walker_block spill-format round trip --------------------------------
@@ -453,13 +505,15 @@ TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
 /// only one shard stays resident, so shard 0 is evicted (spill ordinal 1)
 /// while shard 1 advances in round 1, and reloaded at the top of round 2.
 /// A single-walker spill file is 132 (header) + 224 (record) + 4 (body crc)
-/// = 360 bytes; the tests sweep every one of those byte offsets. The far
-/// target with a tiny budget keeps every trial an all-miss (so parity also
-/// covers the NaN winner_alpha path) and the quantum-1 epochs keep shard 0
-/// alive into round 2, where the corrupt file must be detected.
+/// = 360 bytes; the tests sweep every one of those byte offsets. No walker
+/// of this seed reaches the target within the tiny budget, so every trial
+/// is an all-miss (parity also covers the NaN winner_alpha path); the target
+/// is still within reach (‖target‖₁ = budget), so the reach bound retires no
+/// walker at its first phase, and the quantum-1 epochs keep shard 0 alive
+/// into round 2, where the corrupt file must be detected.
 struct corruption_config {
     std::size_t k = 4;
-    point target{1000, 0};
+    point target{2, 0};
     std::uint64_t budget = 2;
     std::uint64_t cap = 8;
     rng stream = rng::seeded(60321);
@@ -542,6 +596,7 @@ TEST_F(ShardEngineTest, StaleSpillFromDifferentRunIsIgnoredWholesale) {
     }
     const parallel_result again = engine.run_parallel(cfg.k, fixed_exponent(2.5), cfg.target,
                                                       cfg.budget, cfg.stream, cfg.cap, opts);
+    EXPECT_GT(engine.last_stats().loads, 0u);  // the other shards still reload
     EXPECT_EQ(first.hit, again.hit);
     EXPECT_EQ(first.time, again.time);
     EXPECT_EQ(first.winner, again.winner);

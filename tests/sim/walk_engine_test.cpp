@@ -157,6 +157,22 @@ TEST(WalkEngineParallel, ParityEdgeCases) {
     }
 }
 
+TEST(WalkEngineParallel, ParityAtTheTieBoundary) {
+    // Targets one to three steps out: many walkers hit at the winning time,
+    // so the smaller-id tie-break picks the winner. The reach bound must
+    // keep every walker that could still tie the best time; one that also
+    // retired those walkers would lose the ties a smaller id should win.
+    walk_engine engine;
+    for (const std::int64_t ell : {1, 2, 3}) {
+        for (const std::size_t k : {64, 256, 1024}) {
+            for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+                expect_parallel_parity(engine, k, fixed_exponent(2.0), target_at(ell), 64,
+                                       rng::seeded(seed * 1009 + k + ell), kNoCap);
+            }
+        }
+    }
+}
+
 TEST(WalkEngineParallel, ResultsInvariantUnderEpochQuantum) {
     // Retirement/compaction order varies wildly with the epoch quantum
     // (quantum 1 suspends every walker each step; large quanta run whole
