@@ -3,7 +3,7 @@
 // Theorem 1.5's regime of interest is huge k — the paper's point is that a
 // swarm of parallel Lévy walkers finds the target in O((ℓ²/k) polylog + ℓ)
 // steps, so the interesting sweeps push k far past what fits in RAM as
-// in-memory SoA state (224 bytes/walker ⇒ k = 10⁹ is ~208 GiB). This bench
+// in-memory walker state (224 bytes/walker ⇒ k = 10⁹ is ~208 GiB). This bench
 // drives the sharded engine (sim/shard_engine) through the same E7-style
 // speedup sweep while the resident set stays bounded by --memory-budget,
 // and reports the spill/reload traffic alongside the hitting times. The

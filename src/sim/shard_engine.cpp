@@ -98,6 +98,9 @@ struct shard {
     bool done = false;      ///< all walkers retired (local best is final)
     std::uint64_t rounds = 0;
     std::uint64_t last_touch = 0;  ///< eviction clock (LRU)
+    /// Walkers the shard brings when it next becomes resident: its id-block
+    /// size until its first eviction, its live count at eviction after that.
+    std::size_t incoming = 0;
     best_state local;
     /// The shard's walkers while it is resident, in a block borrowed from
     /// the engine's pool; empty, with no capacity, while it is not.
@@ -234,6 +237,7 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
         shards[i].index = i;
         shards[i].lo = i * k / count;
         shards[i].hi = (i + 1) * k / count;
+        shards[i].incoming = shards[i].hi - shards[i].lo;
     }
 
     // Quantum default: budget/8 steps per residency, not one phase (see
@@ -283,7 +287,25 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
 
     const auto evict = [&](shard& s) {
         if (s.dirty) spill(s);
+        s.incoming = s.block.live();
         release(s);
+    };
+
+    /// Before `s` becomes resident, evict least-recently-advanced residents
+    /// until its incoming walkers fit the budget beside them.
+    const auto make_room = [&](const shard& s) {
+        if (opts.memory_budget == 0 || s.resident) return;
+        const std::uint64_t incoming_bytes = s.incoming * walker_block::kBytesPerWalker;
+        while (resident_bytes() + incoming_bytes > opts.memory_budget) {
+            shard* victim = nullptr;
+            for (shard& r : shards) {
+                if (r.resident && (victim == nullptr || r.last_touch < victim->last_touch)) {
+                    victim = &r;
+                }
+            }
+            if (victim == nullptr) break;  // nothing resident is left to evict
+            evict(*victim);
+        }
     };
 
     /// Make `s` resident: restore its spill file, or (re)spawn from the
@@ -314,6 +336,7 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
             obs::get_counter("shard.recomputed").add();
         }
         s.block.clear();
+        s.block.reserve(s.hi - s.lo);
         for (std::size_t i = s.lo; i < s.hi; ++i) {
             rng stream = trial_stream.substream(i);
             const double alpha = strategy(i, stream);  // same draws as scalar
@@ -326,24 +349,12 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
         s.dirty = true;
     };
 
-    const auto enforce_budget = [&](std::size_t keep_index) {
-        if (opts.memory_budget == 0) return;
-        while (resident_bytes() > opts.memory_budget) {
-            shard* victim = nullptr;
-            for (shard& s : shards) {
-                if (!s.resident || s.index == keep_index) continue;
-                if (victim == nullptr || s.last_touch < victim->last_touch) victim = &s;
-            }
-            if (victim == nullptr) break;  // only the active shard is left
-            evict(*victim);
-        }
-    };
-
     for (bool all_done = false; !all_done;) {
         ++stats_.rounds;
         all_done = true;
         for (shard& s : shards) {
             if (s.done) continue;
+            make_room(s);
             touch(s);
             s.last_touch = ++touch_clock;
             note_peak();
@@ -373,7 +384,6 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
             } else {
                 all_done = false;
             }
-            enforce_budget(s.index);
         }
         if (!all_done && opts.sync_rounds != 0 && stats_.rounds % opts.sync_rounds == 0) {
             for (shard& s : shards) {

@@ -20,9 +20,9 @@ struct shard_options {
     /// is raised so a single fully-populated shard fits the budget —
     /// results do not depend on the shard count, only residency does.
     std::size_t shards = 1;
-    /// Resident walker-state budget in bytes (0 = unlimited). Idle shards
-    /// spill to disk, least-recently-advanced first, until the resident set
-    /// fits.
+    /// Resident walker-state budget in bytes (0 = unlimited). Before a shard
+    /// becomes resident, idle shards spill to disk, least-recently-advanced
+    /// first, until its walkers fit beside the rest.
     std::uint64_t memory_budget = 0;
     /// Steps each shard advances per residency (engine_options quantum).
     /// 0 picks the out-of-core default, budget/8: one *phase* per round —
@@ -60,7 +60,7 @@ struct shard_run_stats {
 /// ("shards", GraphWalker-style intervals). Shards advance round-robin, one
 /// walk_engine epoch per round, against a shared lex-min best; idle shards
 /// spill to disk through the checkpoint layer's atomic-write + CRC path
-/// whenever the resident set exceeds `memory_budget`. Because the lex-min
+/// whenever the next shard would not fit `memory_budget`. Because the lex-min
 /// registration rule is order-independent and allowance pruning only
 /// discards strictly-worse outcomes (a hit at exactly the current best time
 /// is still detected and tie-broken by id), the result is bit-identical to
@@ -76,7 +76,12 @@ struct shard_run_stats {
 /// had resident at once, each block sized by the largest shard it held,
 /// and a warm engine spawns and reloads into pages it already has.
 /// `memory_budget` counts live walkers, not capacity, so the pool never
-/// moves a spill or a load.
+/// moves a spill or a load. The bound is held before a shard loads: it
+/// brings its id-block size on first touch and its live count at eviction
+/// after that, and residents are evicted until those bytes fit, so
+/// `peak_resident_bytes` never exceeds a budget that holds one walker. (A
+/// shard whose spill file fails to read back respawns in full and may
+/// overshoot it.)
 ///
 /// ## Durability
 ///

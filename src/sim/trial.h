@@ -27,7 +27,7 @@ namespace levy::sim {
 /// the step-by-step reference implementation.
 enum class engine_kind : std::uint8_t {
     scalar,  ///< levy_walk stepped through hit_within / parallel_min_hit
-    batch,   ///< SoA epoch engine (sim/walk_engine)
+    batch,   ///< batched epoch engine (sim/walk_engine)
 };
 
 /// --- Single-walk experiments (Theorems 1.1–1.3) -------------------------

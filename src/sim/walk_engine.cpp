@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <utility>
 
 #include "src/core/contracts.h"
 #include "src/grid/ring.h"
@@ -120,243 +119,156 @@ void dist_cache::place(std::uint32_t ix) noexcept {
 // ---------------------------------------------------------------------------
 // walker_block
 
-void walker_block::clear() {
-    ids_.clear();
-    main_.clear();
-    path_.clear();
-    dist_ix_.clear();
-    x_.clear();
-    y_.clear();
-    elapsed_.clear();
-    phase_.clear();
-    total_.clear();
-    j_.clear();
-    adx_.clear();
-    ady_.clear();
-    sx_.clear();
-    sy_.clear();
-    px_.clear();
-    py_.clear();
-    destx_.clear();
-    desty_.clear();
-    istar_.clear();
-    pxt_.clear();
-}
-
 std::uint64_t walker_block::min_live_elapsed() const noexcept {
     std::uint64_t least = ~std::uint64_t{0};
-    for (std::size_t w = 0; w < ids_.size(); ++w) least = std::min(least, elapsed_[w]);
+    for (const walker& w : walkers_) least = std::min(least, w.elapsed);
     return least;
 }
 
 void walker_block::spawn(std::size_t id, double alpha, rng stream, dist_cache& dists) {
-    ids_.push_back(id);
-    main_.push_back(stream);
-    // Placeholder until the first d >= 1 phase derives the real substream.
-    path_.push_back(stream.substream(0));
-    dist_ix_.push_back(dists.index_for(alpha));
-    x_.push_back(origin.x);
-    y_.push_back(origin.y);
-    elapsed_.push_back(0);
-    phase_.push_back(0);
-    total_.push_back(0);
-    j_.push_back(0);
-    adx_.push_back(0);
-    ady_.push_back(0);
-    sx_.push_back(1);
-    sy_.push_back(1);
-    px_.push_back(0);
-    py_.push_back(0);
-    destx_.push_back(0);
-    desty_.push_back(0);
-    istar_.push_back(0);
-    pxt_.push_back(0);
+    // `path` is a placeholder until the first d >= 1 phase derives it.
+    walkers_.push_back({.id = id,
+                        .main = stream,
+                        .path = stream.substream(0),
+                        .dist_ix = dists.index_for(alpha),
+                        .x = origin.x,
+                        .y = origin.y});
 }
 
-void walker_block::swap_slots(std::size_t a, std::size_t b) noexcept {
-    if (a == b) return;
-    std::swap(ids_[a], ids_[b]);
-    std::swap(main_[a], main_[b]);
-    std::swap(path_[a], path_[b]);
-    std::swap(dist_ix_[a], dist_ix_[b]);
-    std::swap(x_[a], x_[b]);
-    std::swap(y_[a], y_[b]);
-    std::swap(elapsed_[a], elapsed_[b]);
-    std::swap(phase_[a], phase_[b]);
-    std::swap(total_[a], total_[b]);
-    std::swap(j_[a], j_[b]);
-    std::swap(adx_[a], adx_[b]);
-    std::swap(ady_[a], ady_[b]);
-    std::swap(sx_[a], sx_[b]);
-    std::swap(sy_[a], sy_[b]);
-    std::swap(px_[a], px_[b]);
-    std::swap(py_[a], py_[b]);
-    std::swap(destx_[a], destx_[b]);
-    std::swap(desty_[a], desty_[b]);
-    std::swap(istar_[a], istar_[b]);
-    std::swap(pxt_[a], pxt_[b]);
-}
-
-void walker_block::resize(std::size_t live_count) {
-    ids_.resize(live_count);
-    main_.resize(live_count, rng::seeded(0));
-    path_.resize(live_count, rng::seeded(0));
-    dist_ix_.resize(live_count);
-    x_.resize(live_count);
-    y_.resize(live_count);
-    elapsed_.resize(live_count);
-    phase_.resize(live_count);
-    total_.resize(live_count);
-    j_.resize(live_count);
-    adx_.resize(live_count);
-    ady_.resize(live_count);
-    sx_.resize(live_count);
-    sy_.resize(live_count);
-    px_.resize(live_count);
-    py_.resize(live_count);
-    destx_.resize(live_count);
-    desty_.resize(live_count);
-    istar_.resize(live_count);
-    pxt_.resize(live_count);
-}
-
-void walker_block::replay_step(std::size_t w) {
+void walker_block::replay_step(walker& w) {
     bool step_x;
-    if (px_[w] == adx_[w]) {
+    if (w.px == w.adx) {
         step_x = false;
-    } else if (py_[w] == ady_[w]) {
+    } else if (w.py == w.ady) {
         step_x = true;
     } else {
-        const int128 i1 = static_cast<int128>(px_[w] + py_[w]) + 1;
-        const int128 ex = static_cast<int128>(total_[w]) * px_[w] - i1 * adx_[w];
-        const int128 ey = static_cast<int128>(total_[w]) * py_[w] - i1 * ady_[w];
+        const int128 i1 = static_cast<int128>(w.px + w.py) + 1;
+        const int128 ex = static_cast<int128>(w.total) * w.px - i1 * w.adx;
+        const int128 ey = static_cast<int128>(w.total) * w.py - i1 * w.ady;
         if (ex < ey) {
             step_x = true;
         } else if (ey < ex) {
             step_x = false;
         } else {
-            step_x = path_[w].coin();
+            step_x = w.path.coin();
         }
     }
     if (step_x) {
-        ++px_[w];
+        ++w.px;
     } else {
-        ++py_[w];
+        ++w.py;
     }
-    ++j_[w];
+    ++w.j;
 }
 
-bool walker_block::advance_one(std::size_t w, const engine_options& opts,
-                               const dist_cache& dists, std::uint64_t allowance, point target,
-                               best_state& best) {
-    if (total_[w] == 0) {
+bool walker_block::advance_one(walker& w, const engine_options& opts, const dist_cache& dists,
+                               std::uint64_t allowance, point target, best_state& best) {
+    if (w.total == 0) {
         // Reach bound (see walk_engine): retire, before any draw, a walker
         // whose L1 distance to the target exceeds the steps it has left.
         // Strict, so a walker that can still tie the best time walks on.
         // elapsed < allowance here, and |Δx| + |Δy| is never formed, so
         // nothing can wrap.
-        const std::uint64_t left = allowance - elapsed_[w];
-        const std::uint64_t dx = gap(target.x, x_[w]);
-        if (dx > left || gap(target.y, y_[w]) > left - dx) return true;
+        const std::uint64_t left = allowance - w.elapsed;
+        const std::uint64_t dx = gap(target.x, w.x);
+        if (dx > left || gap(target.y, w.y) > left - dx) return true;
         // Begin a phase: same stream, same draw order as the scalar walk.
-        ++phase_[w];
+        ++w.phase;
         // levylint:allow(conditional-main-draw): the phase-start guard is
-        // pure in the walker's own draw history (total_ hits 0 exactly when
+        // pure in the walker's own draw history (total hits 0 exactly when
         // the scalar walk starts a phase), so the draw count replays
         // bit-exactly — pinned by walk_engine_test scalar/batch parity.
-        const std::uint64_t d = dists.at(dist_ix_[w]).sample_capped(main_[w], dists.cap());
+        const std::uint64_t d = dists.at(w.dist_ix).sample_capped(w.main, dists.cap());
         if (d == 0) {
             // Stay-put phase: exactly one step, position unchanged. The
             // position is never the target here (a walker retires the step
             // it first touches the target), so no hit check is needed.
-            ++elapsed_[w];
-            return elapsed_[w] >= allowance;
+            ++w.elapsed;
+            return w.elapsed >= allowance;
         }
-        const point from{x_[w], y_[w]};
+        const point from{w.x, w.y};
         // levylint:allow(conditional-main-draw): scalar parity — levy_walk
         // also skips the ring draw on stay-put phases (d == 0), so the
         // branch is replayed identically from the same stream state.
-        const point dest = sample_ring(from, static_cast<std::int64_t>(d), main_[w]);
+        const point dest = sample_ring(from, static_cast<std::int64_t>(d), w.main);
         const point delta = dest - from;
-        adx_[w] = abs64(delta.x);
-        ady_[w] = abs64(delta.y);
-        sx_[w] = delta.x < 0 ? -1 : 1;
-        sy_[w] = delta.y < 0 ? -1 : 1;
-        total_[w] = d;
-        j_[w] = 0;
-        px_[w] = 0;
-        py_[w] = 0;
-        destx_[w] = dest.x;
-        desty_[w] = dest.y;
+        w.adx = abs64(delta.x);
+        w.ady = abs64(delta.y);
+        w.sx = delta.x < 0 ? -1 : 1;
+        w.sy = delta.y < 0 ? -1 : 1;
+        w.total = d;
+        w.j = 0;
+        w.px = 0;
+        w.py = 0;
+        w.destx = dest.x;
+        w.desty = dest.y;
         // The path is monotone along both axes, and its node after step i
         // is at L1 distance exactly i from `from`; the target can be
         // visited only if it sits in the bounding box, and then only at
         // step i* = ‖target − from‖₁ with x-progress exactly tdx.
-        const std::int64_t tdx = sx_[w] * (target.x - from.x);
-        const std::int64_t tdy = sy_[w] * (target.y - from.y);
-        if (tdx >= 0 && tdx <= adx_[w] && tdy >= 0 && tdy <= ady_[w] && tdx + tdy > 0) {
-            istar_[w] = static_cast<std::uint64_t>(tdx + tdy);
-            pxt_[w] = tdx;
+        const std::int64_t tdx = w.sx * (target.x - from.x);
+        const std::int64_t tdy = w.sy * (target.y - from.y);
+        if (tdx >= 0 && tdx <= w.adx && tdy >= 0 && tdy <= w.ady && tdx + tdy > 0) {
+            w.istar = static_cast<std::uint64_t>(tdx + tdy);
+            w.pxt = tdx;
         } else {
-            istar_[w] = 0;
+            w.istar = 0;
         }
-        path_[w] = main_[w].substream(phase_[w]);
+        w.path = w.main.substream(w.phase);
     }
     // Advance within the phase by at most the allowance (and the epoch
     // quantum, when set). Steps past the candidate i* can neither hit nor
     // influence any later draw — tie coins live on the throwaway per-phase
     // substream — so they are skipped arithmetically.
-    const std::uint64_t j0 = j_[w];
-    std::uint64_t take = std::min(total_[w] - j0, allowance - elapsed_[w]);
+    const std::uint64_t j0 = w.j;
+    std::uint64_t take = std::min(w.total - j0, allowance - w.elapsed);
     if (opts.epoch_steps != 0) take = std::min(take, opts.epoch_steps);
     const std::uint64_t jend = j0 + take;
-    if (istar_[w] != 0 && j0 < istar_[w]) {
-        const std::uint64_t replay_to = std::min(jend, istar_[w]);
-        while (j_[w] < replay_to) replay_step(w);
-        if (j_[w] == istar_[w]) {
-            if (px_[w] == pxt_[w]) {
-                const std::uint64_t t = elapsed_[w] + (istar_[w] - j0);
+    if (w.istar != 0 && j0 < w.istar) {
+        const std::uint64_t replay_to = std::min(jend, w.istar);
+        while (w.j < replay_to) replay_step(w);
+        if (w.j == w.istar) {
+            if (w.px == w.pxt) {
+                const std::uint64_t t = w.elapsed + (w.istar - j0);
                 // Order-independent lex-min registration: better time, or
                 // equal time from a smaller walker index.
-                if (!best.hit || t < best.time || (t == best.time && ids_[w] < best.winner)) {
+                if (!best.hit || t < best.time || (t == best.time && w.id < best.winner)) {
                     best.hit = true;
                     best.time = t;
-                    best.winner = ids_[w];
+                    best.winner = w.id;
                 }
                 return true;  // first visit to the target: the walker is done
             }
-            istar_[w] = 0;  // passed the only candidate step without hitting
+            w.istar = 0;  // passed the only candidate step without hitting
         }
     }
-    j_[w] = jend;
-    elapsed_[w] += take;
-    if (j_[w] == total_[w]) {
-        x_[w] = destx_[w];
-        y_[w] = desty_[w];
-        total_[w] = 0;
+    w.j = jend;
+    w.elapsed += take;
+    if (w.j == w.total) {
+        w.x = w.destx;
+        w.y = w.desty;
+        w.total = 0;
     }
-    return elapsed_[w] >= allowance;
+    return w.elapsed >= allowance;
 }
 
 void walker_block::epoch(const engine_options& opts, const dist_cache& dists, point target,
                          std::uint64_t allowance_cap, best_state& best) {
-    std::size_t live_count = ids_.size();
     // The sweep re-reads `best` per walker, so an early hit immediately
     // shrinks everyone else's allowance; correctness never depends on that
     // — only the amount of pruned work does.
-    for (std::size_t w = 0; w < live_count;) {
+    for (std::size_t i = 0; i < walkers_.size();) {
         const std::uint64_t allowance =
             best.hit ? std::min(best.time, allowance_cap) : allowance_cap;
-        const bool retire =
-            elapsed_[w] >= allowance || advance_one(w, opts, dists, allowance, target, best);
-        if (retire) {
-            swap_slots(w, live_count - 1);
-            --live_count;
+        walker& w = walkers_[i];
+        if (w.elapsed >= allowance || advance_one(w, opts, dists, allowance, target, best)) {
+            // Retire: the last live record takes this slot, to be visited next.
+            w = walkers_.back();
+            walkers_.pop_back();
         } else {
-            ++w;
+            ++i;
         }
     }
-    resize(live_count);
 }
 
 // Spill record layout: kBytesPerWalker = 28 little-endian 8-byte words.
@@ -375,85 +287,77 @@ void walker_block::epoch(const engine_options& opts, const dist_cache& dists, po
 
 void walker_block::serialize(const dist_cache& dists, std::vector<char>& out) const {
     const std::size_t base = out.size();
-    out.resize(base + ids_.size() * kBytesPerWalker);
+    out.resize(base + walkers_.size() * kBytesPerWalker);
     char* p = out.data() + base;
-    for (std::size_t w = 0; w < ids_.size(); ++w) {
-        p = store_le(p, static_cast<std::uint64_t>(ids_[w]));
-        p = store_le(p, dists.alpha_bits(dist_ix_[w]));
-        p = store_rng(p, main_[w]);
-        p = store_rng(p, path_[w]);
-        p = store_le(p, x_[w]);
-        p = store_le(p, y_[w]);
-        p = store_le(p, elapsed_[w]);
-        p = store_le(p, phase_[w]);
-        p = store_le(p, total_[w]);
-        p = store_le(p, j_[w]);
-        p = store_le(p, adx_[w]);
-        p = store_le(p, ady_[w]);
-        p = store_le(p, sx_[w]);
-        p = store_le(p, sy_[w]);
-        p = store_le(p, px_[w]);
-        p = store_le(p, py_[w]);
-        p = store_le(p, destx_[w]);
-        p = store_le(p, desty_[w]);
-        p = store_le(p, istar_[w]);
-        p = store_le(p, pxt_[w]);
+    for (const walker& w : walkers_) {
+        p = store_le(p, static_cast<std::uint64_t>(w.id));
+        p = store_le(p, dists.alpha_bits(w.dist_ix));
+        p = store_rng(p, w.main);
+        p = store_rng(p, w.path);
+        p = store_le(p, w.x);
+        p = store_le(p, w.y);
+        p = store_le(p, w.elapsed);
+        p = store_le(p, w.phase);
+        p = store_le(p, w.total);
+        p = store_le(p, w.j);
+        p = store_le(p, w.adx);
+        p = store_le(p, w.ady);
+        p = store_le(p, w.sx);
+        p = store_le(p, w.sy);
+        p = store_le(p, w.px);
+        p = store_le(p, w.py);
+        p = store_le(p, w.destx);
+        p = store_le(p, w.desty);
+        p = store_le(p, w.istar);
+        p = store_le(p, w.pxt);
     }
 }
 
 bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache& dists) {
-    resize(count);  // every slot below is overwritten or the block cleared
-    for (std::size_t w = 0; w < count; ++w) {
-        const char* p = bytes + w * kBytesPerWalker;
+    clear();
+    reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const char* p = bytes + i * kBytesPerWalker;
+        walker w{.id = static_cast<std::size_t>(load_le<std::uint64_t>(p)),
+                 .main = load_rng(p + 16),
+                 .path = load_rng(p + 56),
+                 .x = load_le<std::int64_t>(p + 96),
+                 .y = load_le<std::int64_t>(p + 104),
+                 .elapsed = load_le<std::uint64_t>(p + 112),
+                 .phase = load_le<std::uint64_t>(p + 120),
+                 .total = load_le<std::uint64_t>(p + 128),
+                 .j = load_le<std::uint64_t>(p + 136),
+                 .adx = load_le<std::int64_t>(p + 144),
+                 .ady = load_le<std::int64_t>(p + 152),
+                 .sx = load_le<std::int64_t>(p + 160),
+                 .sy = load_le<std::int64_t>(p + 168),
+                 .px = load_le<std::int64_t>(p + 176),
+                 .py = load_le<std::int64_t>(p + 184),
+                 .destx = load_le<std::int64_t>(p + 192),
+                 .desty = load_le<std::int64_t>(p + 200),
+                 .istar = load_le<std::uint64_t>(p + 208),
+                 .pxt = load_le<std::int64_t>(p + 216)};
         const auto alpha_bits = load_le<std::uint64_t>(p + 8);
         const double alpha = std::bit_cast<double>(alpha_bits);
-        const auto phase = load_le<std::uint64_t>(p + 120);
-        const auto total = load_le<std::uint64_t>(p + 128);
-        const auto j = load_le<std::uint64_t>(p + 136);
-        const auto adx = load_le<std::int64_t>(p + 144);
-        const auto ady = load_le<std::int64_t>(p + 152);
-        const auto sx = load_le<std::int64_t>(p + 160);
-        const auto sy = load_le<std::int64_t>(p + 168);
-        const auto px = load_le<std::int64_t>(p + 176);
-        const auto py = load_le<std::int64_t>(p + 184);
-        const auto istar = load_le<std::uint64_t>(p + 208);
         // Structural sanity before the values can reach samplers or the
         // replay arithmetic; CRC catches random corruption first, so this
         // is defense-in-depth against a validly-checksummed-but-bogus file.
         const bool alpha_ok = std::isfinite(alpha) && alpha > 1.0;
-        const bool sign_ok = (sx == 1 || sx == -1) && (sy == 1 || sy == -1);
+        const bool sign_ok = (w.sx == 1 || w.sx == -1) && (w.sy == 1 || w.sy == -1);
         bool phase_ok = true;
-        if (total != 0) {
-            phase_ok = j < total && adx >= 0 && ady >= 0 &&
-                       static_cast<std::uint64_t>(adx) + static_cast<std::uint64_t>(ady) ==
-                           total &&
-                       px >= 0 && py >= 0 && px <= adx && py <= ady &&
-                       istar <= total && phase > 0;
+        if (w.total != 0) {
+            phase_ok = w.j < w.total && w.adx >= 0 && w.ady >= 0 &&
+                       static_cast<std::uint64_t>(w.adx) + static_cast<std::uint64_t>(w.ady) ==
+                           w.total &&
+                       w.px >= 0 && w.py >= 0 && w.px <= w.adx && w.py <= w.ady &&
+                       w.istar <= w.total && w.phase > 0;
         }
         if (!alpha_ok || !sign_ok || !phase_ok) {
             clear();
             return false;
         }
-        ids_[w] = static_cast<std::size_t>(load_le<std::uint64_t>(p));
-        main_[w] = load_rng(p + 16);
-        path_[w] = load_rng(p + 56);
-        dist_ix_[w] = dists.index_for_bits(alpha_bits);
-        x_[w] = load_le<std::int64_t>(p + 96);
-        y_[w] = load_le<std::int64_t>(p + 104);
-        elapsed_[w] = load_le<std::uint64_t>(p + 112);
-        phase_[w] = phase;
-        total_[w] = total;
-        j_[w] = j;
-        adx_[w] = adx;
-        ady_[w] = ady;
-        sx_[w] = sx;
-        sy_[w] = sy;
-        px_[w] = px;
-        py_[w] = py;
-        destx_[w] = load_le<std::int64_t>(p + 192);
-        desty_[w] = load_le<std::int64_t>(p + 200);
-        istar_[w] = istar;
-        pxt_[w] = load_le<std::int64_t>(p + 216);
+        w.dist_ix = dists.index_for_bits(alpha_bits);
+        walkers_.push_back(w);
     }
     return true;
 }
@@ -500,6 +404,7 @@ parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy
     } else {
         dists_.reset(cap);
         block_.clear();
+        block_.reserve(k);
         for (std::size_t i = 0; i < k; ++i) {
             rng stream = trial_stream.substream(i);
             const double alpha = strategy(i, stream);  // consumes the same draws as scalar

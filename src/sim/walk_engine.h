@@ -108,23 +108,28 @@ private:
     std::uint32_t last_ = kEmpty;
 };
 
-/// Dense structure-of-arrays block of in-flight walkers — the unit of
+/// Dense block of in-flight walkers, one record per walker — the unit of
 /// advancement shared by the in-memory batch engine (one block per trial)
 /// and the out-of-core sharded engine (one block per resident shard).
 ///
-/// Holds each walker's position, elapsed budget, per-walker main/path RNG
+/// Each record holds a walker's position, elapsed budget, main/path RNG
 /// streams, and the residue of the phase in progress (axis deltas, Bresenham
-/// progress, remaining steps). Walkers that hit, exhaust their allowance,
-/// or can no longer reach the target within it retire by swap-with-last
-/// compaction, so the live prefix stays dense.
+/// progress, remaining steps). A walker that hits, exhausts its allowance,
+/// or can no longer reach the target within it retires: the last live
+/// record overwrites it, so the live records stay dense.
 ///
 /// A block serializes its live walkers to a flat little-endian byte layout
 /// (`kBytesPerWalker` per walker) and restores them bit-exactly, including
 /// mid-phase RNG positions — the spill format of sim/shard_engine.
 class walker_block {
 public:
-    void clear();
-    [[nodiscard]] std::size_t live() const noexcept { return ids_.size(); }
+    void clear() noexcept { walkers_.clear(); }
+    [[nodiscard]] std::size_t live() const noexcept { return walkers_.size(); }
+
+    /// Make room for `count` walkers in one allocation. Callers spawning a
+    /// known number of walkers reserve first: a record vector grown by
+    /// doubling holds its old and new buffers at once.
+    void reserve(std::size_t count) { walkers_.reserve(count); }
 
     /// Least elapsed step count over the live walkers (max u64 when none) —
     /// the sharded engine's measure of how far a residency has advanced.
@@ -156,39 +161,38 @@ public:
     [[nodiscard]] bool deserialize(const char* bytes, std::size_t count, dist_cache& dists);
 
 private:
-    /// Advance walker slot w, whose elapsed steps are below `allowance`, by
-    /// one phase (or quantum chunk); may register a hit in `best`. Returns
-    /// true when the walker must retire.
-    bool advance_one(std::size_t w, const engine_options& opts, const dist_cache& dists,
-                     std::uint64_t allowance, point target, best_state& best);
-    /// One Bresenham replay step for slot w, tie coins from path_[w].
-    void replay_step(std::size_t w);
-    void swap_slots(std::size_t a, std::size_t b) noexcept;
-    /// Resize every column to `live_count` slots (new slots hold filler).
-    void resize(std::size_t live_count);
+    /// One in-flight walker.
+    struct walker {
+        std::size_t id = 0;         // original walker index (lex-min key)
+        rng main;                   // phase-level stream
+        rng path;                   // current phase's tie-coin substream
+        std::uint32_t dist_ix = 0;  // index into the run's dist_cache
+        std::int64_t x = 0, y = 0;  // position at current phase start
+        std::uint64_t elapsed = 0;  // steps consumed so far
+        std::uint64_t phase = 0;    // phases begun (1-based substream key)
+        // Residue of the phase in progress (total == 0 between phases):
+        std::uint64_t total = 0;            // phase length d
+        std::uint64_t j = 0;                // steps taken within the phase
+        std::int64_t adx = 0, ady = 0;      // |Δx|, |Δy| of the phase
+        std::int64_t sx = 1, sy = 1;        // axis signs (±1)
+        std::int64_t px = 0, py = 0;        // Bresenham replay progress
+        std::int64_t destx = 0, desty = 0;  // phase destination
+        std::uint64_t istar = 0;            // candidate hit step (0 = none)
+        std::int64_t pxt = 0;               // x-progress the target requires at i*
+    };
 
-    // SoA walker state; index = live slot. Retired slots are swapped past
-    // the live prefix and truncated at epoch end, so every vector stays
-    // dense over [0, live()).
-    std::vector<std::size_t> ids_;       // original walker index (lex-min key)
-    std::vector<rng> main_;              // phase-level stream
-    std::vector<rng> path_;              // current phase's tie-coin substream
-    std::vector<std::uint32_t> dist_ix_; // index into the run's dist_cache
-    std::vector<std::int64_t> x_, y_;    // position at current phase start
-    std::vector<std::uint64_t> elapsed_; // steps consumed so far
-    std::vector<std::uint64_t> phase_;   // phases begun (1-based substream key)
-    // Residue of the phase in progress (total == 0 between phases):
-    std::vector<std::uint64_t> total_;   // phase length d
-    std::vector<std::uint64_t> j_;       // steps taken within the phase
-    std::vector<std::int64_t> adx_, ady_;  // |Δx|, |Δy| of the phase
-    std::vector<std::int64_t> sx_, sy_;    // axis signs (±1)
-    std::vector<std::int64_t> px_, py_;    // Bresenham replay progress
-    std::vector<std::int64_t> destx_, desty_;
-    std::vector<std::uint64_t> istar_;   // candidate hit step (0 = none)
-    std::vector<std::int64_t> pxt_;      // x-progress the target requires at i*
+    /// Advance `w`, whose elapsed steps are below `allowance`, by one phase
+    /// (or quantum chunk); may register a hit in `best`. Returns true when
+    /// the walker must retire.
+    static bool advance_one(walker& w, const engine_options& opts, const dist_cache& dists,
+                            std::uint64_t allowance, point target, best_state& best);
+    /// One Bresenham replay step for `w`, tie coins from its path stream.
+    static void replay_step(walker& w);
+
+    std::vector<walker> walkers_;  // the live walkers, densely packed
 };
 
-/// Batched structure-of-arrays Lévy-walk engine.
+/// Batched Lévy-walk engine.
 ///
 /// Holds all in-flight walkers of one trial in one walker_block and
 /// advances every live walker one phase per epoch until retirement.
@@ -260,7 +264,7 @@ public:
 
     [[nodiscard]] const engine_options& options() const noexcept { return opts_; }
 
-    /// The thread's pooled engine: reuses the SoA buffers and the per-(α,
+    /// The thread's pooled engine: reuses the walker block and the per-(α,
     /// cap) jump-distribution cache across trials. Each worker thread owns
     /// its instance, so trials never share mutable state across threads.
     [[nodiscard]] static walk_engine& local();

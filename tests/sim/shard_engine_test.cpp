@@ -191,7 +191,8 @@ TEST_F(ShardEngineTest, StatsAccountForSpillsAndLoads) {
     EXPECT_GT(stats.loads, 0u);  // evicted shards came back from disk
     EXPECT_EQ(stats.recomputed, 0u);
     EXPECT_EQ(stats.resumed, 0u);
-    EXPECT_LE(stats.peak_resident_walkers, 8u);
+    EXPECT_LE(stats.peak_resident_bytes, opts.memory_budget);
+    EXPECT_LE(stats.peak_resident_walkers, 2u);
     EXPECT_GE(stats.peak_resident_walkers, 2u);
     // Clean completion removes the trial's spill files.
     EXPECT_TRUE(fs::is_empty(dir_));

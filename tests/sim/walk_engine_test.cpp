@@ -1,4 +1,4 @@
-// Streaming-vs-batch parity: the SoA engine (sim/walk_engine) must return
+// Streaming-vs-batch parity: the batch engine (sim/walk_engine) must return
 // bit-identical results to the scalar levy_walk loop for every config, seed,
 // budget edge, and epoch quantum. These tests are the determinism contract
 // of DESIGN.md §"Batched walk engine".

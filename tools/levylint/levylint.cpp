@@ -1,8 +1,8 @@
 // levylint — the repo's determinism linter.
 //
 // A from-scratch lint pass (no third-party dependencies; reuses the repo's
-// own obs/json and sim/thread_pool) enforcing the invariants that keep
-// Monte-Carlo results a pure function of (seed, trial index). Analysis is
+// own obs/json) enforcing the invariants that keep Monte-Carlo results a
+// pure function of (seed, trial index). Analysis is
 // two-pass: pass 1 lexes and semantically indexes every TU (index.h), the
 // linker joins the indexes into a project-wide call graph (callgraph.h),
 // and pass 2 runs the rules per file against that model. See rules.cpp for
@@ -14,9 +14,6 @@
 //                                        src include bench tools examples)
 //   levylint --format=sarif              emit SARIF 2.1.0 instead of text
 //   levylint --output FILE               write the report to FILE
-//   levylint --baseline FILE             ignore findings listed in FILE
-//   levylint --write-baseline FILE       write current findings as baseline
-//   levylint --jobs N                    lex/analyze with N pool workers
 //   levylint --list-rules                one-line summary per rule
 //   levylint --explain RULE              full rationale + how to fix
 //   levylint --self-test DIR             run the seeded-violation corpus
@@ -34,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/thread_pool.h"
 #include "tools/levylint/callgraph.h"
 #include "tools/levylint/index.h"
 #include "tools/levylint/lexer.h"
@@ -82,8 +78,8 @@ std::vector<fs::path> discover(const fs::path& root, const std::vector<std::stri
     } else {
         for (const std::string& a : args) add_tree(root / a);
     }
-    // Deterministic work order regardless of directory-entry order or
-    // --jobs: path-sorted, duplicates (overlapping path args) removed.
+    // Deterministic work order regardless of directory-entry order:
+    // path-sorted, duplicates (overlapping path args) removed.
     std::sort(files.begin(), files.end());
     files.erase(std::unique(files.begin(), files.end()), files.end());
     return files;
@@ -110,54 +106,12 @@ void print_findings(std::ostream& out, const std::vector<finding>& fs_) {
     }
 }
 
-// --- baseline --------------------------------------------------------------
-
-/// A baseline is a line-oriented file of `path:rule` entries (one per
-/// pre-existing finding; duplicates mean multiple findings of that rule in
-/// that file). Lines are matched as a multiset, so a baselined file can
-/// keep its N old findings but a new one still fails the scan. '#' lines
-/// and blanks are ignored. Line numbers are deliberately absent: baselines
-/// must survive unrelated edits above a finding.
-std::map<std::string, int> read_baseline(const fs::path& p, bool& ok) {
-    std::map<std::string, int> entries;
-    std::ifstream in(p);
-    ok = static_cast<bool>(in);
-    if (!ok) return entries;
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::size_t start = line.find_first_not_of(" \t");
-        if (start == std::string::npos || line[start] == '#') continue;
-        const std::size_t stop = line.find_last_not_of(" \t\r");
-        entries[line.substr(start, stop - start + 1)]++;
-    }
-    return entries;
-}
-
-/// Consume baseline entries; returns the findings that are NOT baselined.
-std::vector<finding> apply_baseline(std::vector<finding> all,
-                                    std::map<std::string, int> entries) {
-    std::vector<finding> kept;
-    kept.reserve(all.size());
-    for (finding& f : all) {
-        const auto it = entries.find(f.path + ":" + f.rule);
-        if (it != entries.end() && it->second > 0) {
-            --it->second;
-            continue;
-        }
-        kept.push_back(std::move(f));
-    }
-    return kept;
-}
-
 // --- tree scan -------------------------------------------------------------
 
 struct scan_options {
     bool ignore_suppressions = false;
     std::string format = "text";  // "text" | "sarif"
     std::string output;           // empty = stdout
-    std::string baseline;         // empty = none
-    std::string write_baseline;   // empty = none
-    unsigned jobs = 1;
 };
 
 int lint_tree(const fs::path& root, const std::vector<std::string>& paths,
@@ -167,68 +121,29 @@ int lint_tree(const fs::path& root, const std::vector<std::string>& paths,
         std::cerr << "levylint: no lintable files under the given paths\n";
         return 2;
     }
-    // Pass 1: lex + index every TU. Slot-per-file parallelism: worker i
-    // writes only lexed[i]/indexed[i], so the result is independent of
-    // scheduling and identical to --jobs=1.
+    // Pass 1: lex + index every TU.
     std::vector<lexed_file> lexed(files.size());
     std::vector<tu_index> indexed(files.size());
-    std::vector<char> failed(files.size(), 0);
-    const auto pass1 = [&](std::size_t i) {
+    for (std::size_t i = 0; i < files.size(); ++i) {
         std::string src;
         if (!read_file(files[i], src)) {
-            failed[i] = 1;
-            return;
-        }
-        lexed[i] = lex(src);
-        indexed[i] = build_index(rel_to(root, files[i]), lexed[i]);
-    };
-    levy::sim::thread_pool::instance().run(files.size(), opt.jobs, /*chunk=*/1, pass1);
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        if (failed[i] != 0) {
             std::cerr << "levylint: cannot read " << files[i] << "\n";
             return 2;
         }
+        lexed[i] = lex(src);
+        indexed[i] = build_index(rel_to(root, files[i]), lexed[i]);
     }
 
-    // Link into the project model (sequential: one pass over all indexes).
+    // Link into the project model (one pass over all indexes).
     const project_model model = link(std::move(indexed));
 
-    // Pass 2: rules per file, same slot discipline.
-    std::vector<std::vector<finding>> per_file(files.size());
-    const auto pass2 = [&](std::size_t i) {
-        per_file[i] = analyze(model, static_cast<int>(i), lexed[i], opt.ignore_suppressions);
-    };
-    levy::sim::thread_pool::instance().run(files.size(), opt.jobs, /*chunk=*/1, pass2);
-
+    // Pass 2: rules per file, findings in file order.
     std::vector<finding> all;
-    for (std::vector<finding>& fs_ : per_file) {
-        all.insert(all.end(), std::make_move_iterator(fs_.begin()),
-                   std::make_move_iterator(fs_.end()));
-    }
-
-    if (!opt.write_baseline.empty()) {
-        std::ofstream out(opt.write_baseline);
-        out << "# levylint baseline: one `path:rule` line per accepted pre-existing\n"
-               "# finding (duplicates = multiple findings). Regenerate with\n"
-               "#   levylint --write-baseline <file>\n";
-        for (const finding& f : all) out << f.path << ":" << f.rule << "\n";
-        if (!out) {
-            std::cerr << "levylint: cannot write baseline " << opt.write_baseline << "\n";
-            return 2;
-        }
-        std::cout << "levylint: wrote " << all.size() << " baseline entr"
-                  << (all.size() == 1 ? "y" : "ies") << " to " << opt.write_baseline << "\n";
-        return 0;
-    }
-
-    if (!opt.baseline.empty()) {
-        bool ok = false;
-        auto entries = read_baseline(opt.baseline, ok);
-        if (!ok) {
-            std::cerr << "levylint: cannot read baseline " << opt.baseline << "\n";
-            return 2;
-        }
-        all = apply_baseline(std::move(all), std::move(entries));
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        std::vector<finding> found =
+            analyze(model, static_cast<int>(i), lexed[i], opt.ignore_suppressions);
+        all.insert(all.end(), std::make_move_iterator(found.begin()),
+                   std::make_move_iterator(found.end()));
     }
 
     // Report.
@@ -469,19 +384,10 @@ int main(int argc, char** argv) {
             }
         } else if (arg == "--output") {
             opt.output = next();
-        } else if (arg == "--baseline") {
-            opt.baseline = next();
-        } else if (arg == "--write-baseline") {
-            opt.write_baseline = next();
-        } else if (arg == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::max(1, std::atoi(next())));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            opt.jobs = static_cast<unsigned>(std::max(1, std::atoi(arg.c_str() + 7)));
         } else if (arg == "--help" || arg == "-h") {
             std::cout
                 << "usage: levylint [--root DIR] [--ignore-suppressions] [--format text|sarif]\n"
-                   "                [--output FILE] [--baseline FILE | --write-baseline FILE]\n"
-                   "                [--jobs N] [paths...]\n"
+                   "                [--output FILE] [paths...]\n"
                    "       levylint --list-rules | --explain RULE | --self-test DIR\n";
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {

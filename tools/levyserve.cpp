@@ -34,17 +34,14 @@
 //       yields byte-identical exact answers. Exit 0 = all bytes equal.
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/serve/http.h"
@@ -52,6 +49,7 @@
 #include "src/serve/server.h"
 #include "src/sim/fault.h"
 #include "src/sim/monte_carlo.h"
+#include "tools/arg_map.h"
 
 #if LEVY_SERVE_HAVE_POSIX_SOCKETS
 #include <csignal>
@@ -62,49 +60,7 @@
 namespace {
 
 using namespace levy;
-
-class arg_map {
-public:
-    arg_map(int argc, char** argv, int first) {
-        for (int i = first; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.substr(0, 2) != "--") {
-                throw std::invalid_argument("expected --flag[=value], got: " +
-                                            std::string(arg));
-            }
-            const auto eq = arg.find('=');
-            if (eq == std::string_view::npos) {
-                values_[std::string(arg.substr(2))] = "";
-            } else {
-                values_[std::string(arg.substr(2, eq - 2))] =
-                    std::string(arg.substr(eq + 1));
-            }
-        }
-    }
-
-    [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
-
-    [[nodiscard]] std::string text(const std::string& key, const std::string& fallback) const {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    template <class T>
-    [[nodiscard]] T get(const std::string& key, T fallback) const {
-        const auto it = values_.find(key);
-        if (it == values_.end()) return fallback;
-        T value{};
-        const auto& text = it->second;
-        const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-        if (ec != std::errc{} || ptr != text.data() + text.size()) {
-            throw std::invalid_argument("bad value for --" + key + ": " + text);
-        }
-        return value;
-    }
-
-private:
-    std::map<std::string, std::string> values_;
-};
+using tools::arg_map;
 
 volatile std::sig_atomic_t g_stop = 0;
 extern "C" void levyserve_stop_handler(int) { g_stop = 1; }

@@ -10,11 +10,9 @@
 // Everything is reproducible per --seed; see README for the library API.
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,46 +27,12 @@
 #include "src/sim/trial.h"
 #include "src/stats/summary.h"
 #include "src/stats/table.h"
+#include "tools/arg_map.h"
 
 namespace {
 
 using namespace levy;
-
-class arg_map {
-public:
-    arg_map(int argc, char** argv, int first) {
-        for (int i = first; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.substr(0, 2) != "--") {
-                throw std::invalid_argument("expected --flag[=value], got: " + std::string(arg));
-            }
-            const auto eq = arg.find('=');
-            if (eq == std::string_view::npos) {
-                values_[std::string(arg.substr(2))] = "";
-            } else {
-                values_[std::string(arg.substr(2, eq - 2))] = std::string(arg.substr(eq + 1));
-            }
-        }
-    }
-
-    [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
-
-    template <class T>
-    [[nodiscard]] T get(const std::string& key, T fallback) const {
-        const auto it = values_.find(key);
-        if (it == values_.end()) return fallback;
-        T value{};
-        const auto& text = it->second;
-        const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-        if (ec != std::errc{} || ptr != text.data() + text.size()) {
-            throw std::invalid_argument("bad value for --" + key + ": " + text);
-        }
-        return value;
-    }
-
-private:
-    std::map<std::string, std::string> values_;
-};
+using tools::arg_map;
 
 int cmd_walk(const arg_map& args) {
     const double alpha = args.get("alpha", 2.5);
