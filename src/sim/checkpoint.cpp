@@ -77,14 +77,18 @@ void atomic_write_file(const std::string& path, const std::vector<char>& bytes) 
         std::remove(tmp.c_str());
         throw std::runtime_error("atomic_write_file: short write to " + tmp);
     }
+    durable_rename(tmp, path);
+}
+
+void durable_rename(const std::string& tmp, const std::string& path) {
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
-        throw std::runtime_error("atomic_write_file: cannot rename " + tmp + " -> " + path);
+        throw std::runtime_error("durable_rename: cannot rename " + tmp + " -> " + path);
     }
 #if LEVY_HAVE_FSYNC
     // The rename is atomic but not durable until the *directory entry* is on
     // disk: POSIX only persists a rename once the parent directory has been
-    // fsynced, so without this a power cut after a "successful" flush could
+    // fsynced, so without this a power cut after a "successful" commit could
     // leave the old file — or no file at all. Tests pin the rule through
     // dir_fsync_count() (fault.h).
     const std::size_t slash = path.find_last_of('/');
@@ -92,12 +96,12 @@ void atomic_write_file(const std::string& path, const std::vector<char>& bytes) 
         slash == std::string::npos ? std::string(".") : path.substr(0, slash == 0 ? 1 : slash);
     const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
     if (dfd < 0) {
-        throw std::runtime_error("atomic_write_file: cannot open parent dir " + dir);
+        throw std::runtime_error("durable_rename: cannot open parent dir " + dir);
     }
     const bool synced = ::fsync(dfd) == 0;
     ::close(dfd);
     if (!synced) {
-        throw std::runtime_error("atomic_write_file: fsync of parent dir " + dir + " failed");
+        throw std::runtime_error("durable_rename: fsync of parent dir " + dir + " failed");
     }
     note_dir_fsync();
 #endif

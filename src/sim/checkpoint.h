@@ -26,6 +26,12 @@ namespace levy::sim {
 /// Throws std::runtime_error on I/O failure (the temp file is removed).
 void atomic_write_file(const std::string& path, const std::vector<char>& bytes);
 
+/// The commit step of every crash-safe write (atomic_write_file, the CSV
+/// writer): rename the complete, fsync'd `tmp` over `path`, then fsync the
+/// parent directory. Throws std::runtime_error on failure; a failed rename
+/// removes `tmp`.
+void durable_rename(const std::string& tmp, const std::string& path);
+
 /// Replace `out` with the whole content of `path`, in one sized read (a
 /// reused `out` keeps its capacity). False when the file cannot be opened
 /// or read in full; `out`'s content is then unspecified.

@@ -19,6 +19,7 @@
 #include "src/core/contracts.h"
 #include "src/obs/metrics.h"
 #include "src/rng/splitmix64.h"
+#include "src/sim/checkpoint.h"
 
 namespace levy::sim {
 namespace {
@@ -332,10 +333,7 @@ void csv_writer::close() {
         std::remove(tmp.c_str());
         throw std::runtime_error("csv_writer: failed writing " + tmp);
     }
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("csv_writer: cannot rename " + tmp + " -> " + path_);
-    }
+    durable_rename(tmp, path_);
 }
 
 void csv_writer::header(const std::vector<std::string>& cells) { line(cells); }

@@ -110,8 +110,9 @@ void fault_before_cache_flush(std::size_t ordinal) noexcept;
 /// real torn write under the rename.
 [[nodiscard]] bool fault_on_shard_spill(std::size_t ordinal, std::vector<char>& bytes) noexcept;
 
-/// Durability observability: atomic_write_file calls note_dir_fsync() after
-/// it has fsynced the parent directory of a rename, and tests read the
+/// Durability observability: durable_rename (checkpoint.h) calls
+/// note_dir_fsync() after it has fsynced the parent directory of a rename —
+/// for atomic_write_file and the CSV writer alike — and tests read the
 /// running total via dir_fsync_count() to pin the rename-durability rule
 /// (see DESIGN.md §11). Always on — one relaxed atomic increment — so the
 /// regression test does not depend on a fault plan being installed.

@@ -22,7 +22,7 @@
 namespace levy::sim {
 namespace {
 
-/// Spill file format (version 1, all integers little-endian):
+/// Spill file format (version 2, all integers little-endian):
 ///
 ///     header : magic u64 "LVYSHARD" | version | shard_index | shard_count
 ///            | trial_seed | k | cap | budget | target_x | target_y
@@ -30,13 +30,16 @@ namespace {
 ///            | best_winner                     (15 u64 fields after magic)
 ///            | crc32(previous 128 bytes) u32
 ///     body   : live × walker_block::kBytesPerWalker walker records
+///              (layout in walk_engine.cpp)
 ///            | crc32(body) u32
 ///
 /// Everything before `live` is the run identity: a file whose identity does
 /// not match the current run is ignored wholesale (then overwritten), so a
 /// stale spill directory can cause recomputation but never wrong results.
+/// The version is part of the identity, so a file in another record layout
+/// recomputes its shard and is never misread.
 constexpr std::uint64_t kMagic = 0x4c56595348415244ULL;  // "LVYSHARD" big-endian bytes
-constexpr std::uint64_t kVersion = 1;
+constexpr std::uint64_t kVersion = 2;
 constexpr std::size_t kHeaderU64 = 16;  // magic + 15 fields
 constexpr std::size_t kIdentityU64 = 11;  // magic .. strategy_fp
 constexpr std::size_t kHeaderBytes = kHeaderU64 * 8 + 4;
@@ -190,17 +193,9 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
                                                   const rng& trial_stream, std::uint64_t cap,
                                                   const shard_options& opts) {
     stats_ = {};
-    parallel_result result;
-    result.time = budget;
-    if (k == 0) return result;
-    if (target == origin) {
-        // Every walker stands on the target at t = 0; walker 0 wins.
-        result.hit = true;
-        result.time = 0;
-        result.winner = 0;
-        rng walk_stream = trial_stream.substream(0);
-        result.winner_alpha = strategy(0, walk_stream);
-        return result;
+    // No walkers: a miss. A target at the origin: walker 0 hits at t = 0.
+    if (k == 0 || target == origin) {
+        return parallel_outcome({.hit = k != 0, .winner = 0}, budget, strategy, trial_stream);
     }
 
     dists_.reset(cap);
@@ -336,12 +331,7 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
             obs::get_counter("shard.recomputed").add();
         }
         s.block.clear();
-        s.block.reserve(s.hi - s.lo);
-        for (std::size_t i = s.lo; i < s.hi; ++i) {
-            rng stream = trial_stream.substream(i);
-            const double alpha = strategy(i, stream);  // same draws as scalar
-            s.block.spawn(i, alpha, stream, dists_);
-        }
+        s.block.spawn_range(s.lo, s.hi, strategy, trial_stream, dists_);
         s.local = best_state{};
         s.rounds = 0;
         s.spawned = true;
@@ -366,13 +356,15 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
             // are mostly a step or two, so a spill per epoch would pay IO
             // per phase. Grouping epochs changes only the schedule — hits
             // register through the same order-independent lex-min merge.
+            // An epoch returns its survivors' least elapsed count (max u64
+            // once none is left), so the loop needs no second pass.
             const std::uint64_t stride = engine_opts.epoch_steps;
             const std::uint64_t round_target =
                 s.rounds > allowance_cap / stride ? allowance_cap
                                                  : std::min(allowance_cap, stride * s.rounds);
-            do {
-                s.block.epoch(engine_opts, dists_, target, allowance_cap, s.local);
-            } while (s.block.live() != 0 && s.block.min_live_elapsed() < round_target);
+            while (s.block.epoch(engine_opts, dists_, target, allowance_cap, s.local) <
+                   round_target) {
+            }
             s.dirty = true;
             global.merge(s.local);
             if (s.block.live() == 0) {
@@ -392,22 +384,12 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
         }
     }
 
-    if (global.hit) {
-        result.hit = true;
-        result.time = global.time;
-        result.winner = global.winner;
-        // Same winner-exponent replay as parallel_hit: strategy draws are a
-        // pure function of (trial_stream, walker index).
-        rng walk_stream = trial_stream.substream(result.winner);
-        result.winner_alpha = strategy(result.winner, walk_stream);
-    }
-
     // Clean completion: the spill files are resume state, and this trial no
     // longer needs resuming. (A crash skips this, leaving them for resume.)
     for (const shard& s : shards) {
         std::filesystem::remove(shard_path(dir, id, s.index), ec);
     }
-    return result;
+    return parallel_outcome(global, budget, strategy, trial_stream);
 }
 
 }  // namespace levy::sim

@@ -119,12 +119,6 @@ void dist_cache::place(std::uint32_t ix) noexcept {
 // ---------------------------------------------------------------------------
 // walker_block
 
-std::uint64_t walker_block::min_live_elapsed() const noexcept {
-    std::uint64_t least = ~std::uint64_t{0};
-    for (const walker& w : walkers_) least = std::min(least, w.elapsed);
-    return least;
-}
-
 void walker_block::spawn(std::size_t id, double alpha, rng stream, dist_cache& dists) {
     // `path` is a placeholder until the first d >= 1 phase derives it.
     walkers_.push_back({.id = id,
@@ -135,47 +129,51 @@ void walker_block::spawn(std::size_t id, double alpha, rng stream, dist_cache& d
                         .y = origin.y});
 }
 
-void walker_block::replay_step(walker& w) {
-    bool step_x;
-    if (w.px == w.adx) {
-        step_x = false;
-    } else if (w.py == w.ady) {
-        step_x = true;
-    } else {
-        const int128 i1 = static_cast<int128>(w.px + w.py) + 1;
-        const int128 ex = static_cast<int128>(w.total) * w.px - i1 * w.adx;
-        const int128 ey = static_cast<int128>(w.total) * w.py - i1 * w.ady;
-        if (ex < ey) {
-            step_x = true;
-        } else if (ey < ex) {
-            step_x = false;
+void walker_block::spawn_range(std::size_t lo, std::size_t hi, const exponent_strategy& strategy,
+                               const rng& trial_stream, dist_cache& dists) {
+    walkers_.reserve(walkers_.size() + (hi - lo));
+    for (std::size_t i = lo; i < hi; ++i) {
+        rng stream = trial_stream.substream(i);
+        const double alpha = strategy(i, stream);  // consumes the same draws as scalar
+        spawn(i, alpha, stream, dists);
+    }
+}
+
+void walker_block::replay(walker& w, std::int64_t adx, std::int64_t ady, std::uint64_t to) {
+    const auto total = static_cast<int128>(adx + ady);
+    for (std::int64_t py = static_cast<std::int64_t>(w.j) - w.px; w.j < to; ++w.j) {
+        bool step_x = w.px != adx;  // an axis whose budget is spent takes no step
+        if (step_x && py != ady) {
+            // The direct path's rule (grid/direct_path): step toward the
+            // straight line, with a tie coin when both nodes are as close.
+            const int128 i1 = static_cast<int128>(w.j) + 1;
+            const int128 ex = total * w.px - i1 * adx;
+            const int128 ey = total * py - i1 * ady;
+            step_x = ex < ey || (ex == ey && w.path.coin());
+        }
+        if (step_x) {
+            ++w.px;
         } else {
-            step_x = w.path.coin();
+            ++py;
         }
     }
-    if (step_x) {
-        ++w.px;
-    } else {
-        ++w.py;
-    }
-    ++w.j;
 }
 
 bool walker_block::advance_one(walker& w, const engine_options& opts, const dist_cache& dists,
                                std::uint64_t allowance, point target, best_state& best) {
-    if (w.total == 0) {
+    if (w.dx == 0 && w.dy == 0) {
         // Reach bound (see walk_engine): retire, before any draw, a walker
         // whose L1 distance to the target exceeds the steps it has left.
         // Strict, so a walker that can still tie the best time walks on.
         // elapsed < allowance here, and |Δx| + |Δy| is never formed, so
         // nothing can wrap.
         const std::uint64_t left = allowance - w.elapsed;
-        const std::uint64_t dx = gap(target.x, w.x);
-        if (dx > left || gap(target.y, w.y) > left - dx) return true;
+        const std::uint64_t gx = gap(target.x, w.x);
+        if (gx > left || gap(target.y, w.y) > left - gx) return true;
         // Begin a phase: same stream, same draw order as the scalar walk.
         ++w.phase;
         // levylint:allow(conditional-main-draw): the phase-start guard is
-        // pure in the walker's own draw history (total hits 0 exactly when
+        // pure in the walker's own draw history (dx, dy are 0 exactly when
         // the scalar walk starts a phase), so the draw count replays
         // bit-exactly — pinned by walk_engine_test scalar/batch parity.
         const std::uint64_t d = dists.at(w.dist_ix).sample_capped(w.main, dists.cap());
@@ -190,73 +188,64 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
         // levylint:allow(conditional-main-draw): scalar parity — levy_walk
         // also skips the ring draw on stay-put phases (d == 0), so the
         // branch is replayed identically from the same stream state.
-        const point dest = sample_ring(from, static_cast<std::int64_t>(d), w.main);
-        const point delta = dest - from;
-        w.adx = abs64(delta.x);
-        w.ady = abs64(delta.y);
-        w.sx = delta.x < 0 ? -1 : 1;
-        w.sy = delta.y < 0 ? -1 : 1;
-        w.total = d;
+        const point delta = sample_ring(from, static_cast<std::int64_t>(d), w.main) - from;
+        w.dx = delta.x;
+        w.dy = delta.y;
         w.j = 0;
         w.px = 0;
-        w.py = 0;
-        w.destx = dest.x;
-        w.desty = dest.y;
-        // The path is monotone along both axes, and its node after step i
-        // is at L1 distance exactly i from `from`; the target can be
-        // visited only if it sits in the bounding box, and then only at
-        // step i* = ‖target − from‖₁ with x-progress exactly tdx.
-        const std::int64_t tdx = w.sx * (target.x - from.x);
-        const std::int64_t tdy = w.sy * (target.y - from.y);
-        if (tdx >= 0 && tdx <= w.adx && tdy >= 0 && tdy <= w.ady && tdx + tdy > 0) {
-            w.istar = static_cast<std::uint64_t>(tdx + tdy);
-            w.pxt = tdx;
-        } else {
-            w.istar = 0;
-        }
         w.path = w.main.substream(w.phase);
     }
+    const std::int64_t adx = abs64(w.dx);
+    const std::int64_t ady = abs64(w.dy);
+    const auto total = static_cast<std::uint64_t>(adx + ady);
     // Advance within the phase by at most the allowance (and the epoch
     // quantum, when set). Steps past the candidate i* can neither hit nor
     // influence any later draw — tie coins live on the throwaway per-phase
     // substream — so they are skipped arithmetically.
     const std::uint64_t j0 = w.j;
-    std::uint64_t take = std::min(w.total - j0, allowance - w.elapsed);
+    std::uint64_t take = std::min(total - j0, allowance - w.elapsed);
     if (opts.epoch_steps != 0) take = std::min(take, opts.epoch_steps);
     const std::uint64_t jend = j0 + take;
-    if (w.istar != 0 && j0 < w.istar) {
-        const std::uint64_t replay_to = std::min(jend, w.istar);
-        while (w.j < replay_to) replay_step(w);
-        if (w.j == w.istar) {
-            if (w.px == w.pxt) {
-                const std::uint64_t t = w.elapsed + (w.istar - j0);
-                // Order-independent lex-min registration: better time, or
-                // equal time from a smaller walker index.
-                if (!best.hit || t < best.time || (t == best.time && w.id < best.winner)) {
-                    best.hit = true;
-                    best.time = t;
-                    best.winner = w.id;
-                }
-                return true;  // first visit to the target: the walker is done
+    // The path is monotone along both axes, and its node after step i is at
+    // L1 distance exactly i from the phase start; the target can be visited
+    // only if it sits in the bounding box, and then only at step
+    // i* = ‖target − start‖₁ with x-progress exactly tdx. A candidate is
+    // pending while j0 < i*: once the replay has passed i* it never is again.
+    const std::int64_t tdx = w.dx < 0 ? w.x - target.x : target.x - w.x;
+    const std::int64_t tdy = w.dy < 0 ? w.y - target.y : target.y - w.y;
+    if (tdx >= 0 && tdx <= adx && tdy >= 0 && tdy <= ady &&
+        j0 < static_cast<std::uint64_t>(tdx + tdy)) {
+        const auto istar = static_cast<std::uint64_t>(tdx + tdy);
+        replay(w, adx, ady, std::min(jend, istar));
+        if (w.j == istar && w.px == tdx) {
+            const std::uint64_t t = w.elapsed + (istar - j0);
+            // Order-independent lex-min registration: better time, or
+            // equal time from a smaller walker index.
+            if (!best.hit || t < best.time || (t == best.time && w.id < best.winner)) {
+                best.hit = true;
+                best.time = t;
+                best.winner = w.id;
             }
-            w.istar = 0;  // passed the only candidate step without hitting
+            return true;  // first visit to the target: the walker is done
         }
     }
     w.j = jend;
     w.elapsed += take;
-    if (w.j == w.total) {
-        w.x = w.destx;
-        w.y = w.desty;
-        w.total = 0;
+    if (w.j == total) {
+        w.x += w.dx;
+        w.y += w.dy;
+        w.dx = 0;
+        w.dy = 0;
     }
     return w.elapsed >= allowance;
 }
 
-void walker_block::epoch(const engine_options& opts, const dist_cache& dists, point target,
-                         std::uint64_t allowance_cap, best_state& best) {
+std::uint64_t walker_block::epoch(const engine_options& opts, const dist_cache& dists,
+                                  point target, std::uint64_t allowance_cap, best_state& best) {
     // The sweep re-reads `best` per walker, so an early hit immediately
     // shrinks everyone else's allowance; correctness never depends on that
     // — only the amount of pruned work does.
+    std::uint64_t least = ~std::uint64_t{0};
     for (std::size_t i = 0; i < walkers_.size();) {
         const std::uint64_t allowance =
             best.hit ? std::min(best.time, allowance_cap) : allowance_cap;
@@ -266,22 +255,23 @@ void walker_block::epoch(const engine_options& opts, const dist_cache& dists, po
             w = walkers_.back();
             walkers_.pop_back();
         } else {
+            least = std::min(least, w.elapsed);
             ++i;
         }
     }
+    return least;
 }
 
-// Spill record layout: kBytesPerWalker = 28 little-endian 8-byte words.
+// Spill record layout (version 2): kBytesPerWalker = 20 little-endian
+// 8-byte words, the walker record's fields in order.
 //
-//     offset  field            offset  field        offset  field
-//          0  id                  112  elapsed         176  px
-//          8  alpha bits          120  phase           184  py
-//         16  main rng (5 words)  128  total           192  destx
-//         56  path rng (5 words)  136  j               200  desty
-//         96  x                   144  adx             208  istar
-//        104  y                   152  ady             216  pxt
-//                                 160  sx
-//                                 168  sy
+//     offset  field               offset  field
+//          0  id                     112  elapsed
+//          8  alpha bits             120  phase
+//         16  main rng (5 words)     128  dx
+//         56  path rng (5 words)     136  dy
+//         96  x                      144  j
+//        104  y                      152  px
 //
 // An rng is its seed word then its four engine words (rng::state order).
 
@@ -298,24 +288,16 @@ void walker_block::serialize(const dist_cache& dists, std::vector<char>& out) co
         p = store_le(p, w.y);
         p = store_le(p, w.elapsed);
         p = store_le(p, w.phase);
-        p = store_le(p, w.total);
+        p = store_le(p, w.dx);
+        p = store_le(p, w.dy);
         p = store_le(p, w.j);
-        p = store_le(p, w.adx);
-        p = store_le(p, w.ady);
-        p = store_le(p, w.sx);
-        p = store_le(p, w.sy);
         p = store_le(p, w.px);
-        p = store_le(p, w.py);
-        p = store_le(p, w.destx);
-        p = store_le(p, w.desty);
-        p = store_le(p, w.istar);
-        p = store_le(p, w.pxt);
     }
 }
 
 bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache& dists) {
     clear();
-    reserve(count);
+    walkers_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
         const char* p = bytes + i * kBytesPerWalker;
         walker w{.id = static_cast<std::size_t>(load_le<std::uint64_t>(p)),
@@ -325,34 +307,28 @@ bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache&
                  .y = load_le<std::int64_t>(p + 104),
                  .elapsed = load_le<std::uint64_t>(p + 112),
                  .phase = load_le<std::uint64_t>(p + 120),
-                 .total = load_le<std::uint64_t>(p + 128),
-                 .j = load_le<std::uint64_t>(p + 136),
-                 .adx = load_le<std::int64_t>(p + 144),
-                 .ady = load_le<std::int64_t>(p + 152),
-                 .sx = load_le<std::int64_t>(p + 160),
-                 .sy = load_le<std::int64_t>(p + 168),
-                 .px = load_le<std::int64_t>(p + 176),
-                 .py = load_le<std::int64_t>(p + 184),
-                 .destx = load_le<std::int64_t>(p + 192),
-                 .desty = load_le<std::int64_t>(p + 200),
-                 .istar = load_le<std::uint64_t>(p + 208),
-                 .pxt = load_le<std::int64_t>(p + 216)};
+                 .dx = load_le<std::int64_t>(p + 128),
+                 .dy = load_le<std::int64_t>(p + 136),
+                 .j = load_le<std::uint64_t>(p + 144),
+                 .px = load_le<std::int64_t>(p + 152)};
         const auto alpha_bits = load_le<std::uint64_t>(p + 8);
         const double alpha = std::bit_cast<double>(alpha_bits);
         // Structural sanity before the values can reach samplers or the
         // replay arithmetic; CRC catches random corruption first, so this
         // is defense-in-depth against a validly-checksummed-but-bogus file.
-        const bool alpha_ok = std::isfinite(alpha) && alpha > 1.0;
-        const bool sign_ok = (w.sx == 1 || w.sx == -1) && (w.sy == 1 || w.sy == -1);
-        bool phase_ok = true;
-        if (w.total != 0) {
-            phase_ok = w.j < w.total && w.adx >= 0 && w.ady >= 0 &&
-                       static_cast<std::uint64_t>(w.adx) + static_cast<std::uint64_t>(w.ady) ==
-                           w.total &&
-                       w.px >= 0 && w.py >= 0 && w.px <= w.adx && w.py <= w.ady &&
-                       w.istar <= w.total && w.phase > 0;
+        // Coordinates and each |Δ| below 2^62 keep abs64, the phase length,
+        // the destination and the offsets to the target in range (a walk
+        // moves one edge per step, so no reachable node is that far out);
+        // px is compared unsigned, so a negative px fails px <= j.
+        constexpr std::int64_t kLimit = std::int64_t{1} << 62;
+        const auto in_range = [](std::int64_t v) { return v > -kLimit && v < kLimit; };
+        bool ok = std::isfinite(alpha) && alpha > 1.0 && in_range(w.x) && in_range(w.y);
+        if (w.dx != 0 || w.dy != 0) {
+            ok = ok && in_range(w.dx) && in_range(w.dy) && w.phase > 0 &&
+                 w.px <= abs64(w.dx) && static_cast<std::uint64_t>(w.px) <= w.j &&
+                 w.j < static_cast<std::uint64_t>(abs64(w.dx) + abs64(w.dy));
         }
-        if (!alpha_ok || !sign_ok || !phase_ok) {
+        if (!ok) {
             clear();
             return false;
         }
@@ -364,6 +340,20 @@ bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache&
 
 // ---------------------------------------------------------------------------
 // walk_engine
+
+parallel_result parallel_outcome(const best_state& best, std::uint64_t budget,
+                                 const exponent_strategy& strategy, const rng& trial_stream) {
+    parallel_result result;
+    result.time = budget;
+    if (best.hit) {
+        result.hit = true;
+        result.time = best.time;
+        result.winner = best.winner;
+        rng walk_stream = trial_stream.substream(result.winner);
+        result.winner_alpha = strategy(result.winner, walk_stream);
+    }
+    return result;
+}
 
 walk_engine& walk_engine::local() {
     thread_local walk_engine engine;
@@ -393,37 +383,14 @@ hit_result walk_engine::run_single(double alpha, point target, std::uint64_t bud
 parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy& strategy,
                                           point target, std::uint64_t budget,
                                           const rng& trial_stream, std::uint64_t cap) {
-    parallel_result result;
-    result.time = budget;
-    if (k == 0) return result;
-    if (target == origin) {
-        // Every walker stands on the target at t = 0; walker 0 wins.
-        result.hit = true;
-        result.time = 0;
-        result.winner = 0;
-    } else {
-        dists_.reset(cap);
-        block_.clear();
-        block_.reserve(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            rng stream = trial_stream.substream(i);
-            const double alpha = strategy(i, stream);  // consumes the same draws as scalar
-            block_.spawn(i, alpha, stream, dists_);
-        }
-        const best_state best = drive(target, budget);
-        if (best.hit) {
-            result.hit = true;
-            result.time = best.time;
-            result.winner = best.winner;
-        }
+    // No walkers: a miss. A target at the origin: walker 0 hits at t = 0.
+    if (k == 0 || target == origin) {
+        return parallel_outcome({.hit = k != 0, .winner = 0}, budget, strategy, trial_stream);
     }
-    if (result.hit) {
-        // Same winner-exponent replay as parallel_hit: strategy draws are a
-        // pure function of (trial_stream, walker index).
-        rng walk_stream = trial_stream.substream(result.winner);
-        result.winner_alpha = strategy(result.winner, walk_stream);
-    }
-    return result;
+    dists_.reset(cap);
+    block_.clear();
+    block_.spawn_range(0, k, strategy, trial_stream, dists_);
+    return parallel_outcome(drive(target, budget), budget, strategy, trial_stream);
 }
 
 }  // namespace levy::sim

@@ -42,6 +42,13 @@ struct best_state {
     }
 };
 
+/// A parallel trial's result from its lex-min best: the hit time, or the
+/// exhausted budget, and the winner's exponent replayed as parallel_hit
+/// does (strategy draws are a pure function of trial stream and walker id).
+[[nodiscard]] parallel_result parallel_outcome(const best_state& best, std::uint64_t budget,
+                                               const exponent_strategy& strategy,
+                                               const rng& trial_stream);
+
 /// Per-run jump-distribution cache keyed by (α bit pattern) for the run's
 /// cap. Entries keep insertion-order indices, found through a hash of the
 /// α bits with the last hit checked first: fixed strategies hit one entry
@@ -112,11 +119,12 @@ private:
 /// advancement shared by the in-memory batch engine (one block per trial)
 /// and the out-of-core sharded engine (one block per resident shard).
 ///
-/// Each record holds a walker's position, elapsed budget, main/path RNG
-/// streams, and the residue of the phase in progress (axis deltas, Bresenham
-/// progress, remaining steps). A walker that hits, exhausts its allowance,
-/// or can no longer reach the target within it retires: the last live
-/// record overwrites it, so the live records stay dense.
+/// A record holds only what determines a walker: id, main/path RNG streams,
+/// exponent, position, elapsed steps, phase count, and the residue of the
+/// phase in progress (displacement, Bresenham progress); phase length,
+/// destination and candidate hit step are derived where they are read. A
+/// walker that hits, exhausts its allowance, or can no longer reach the
+/// target within it retires: the last live record overwrites it.
 ///
 /// A block serializes its live walkers to a flat little-endian byte layout
 /// (`kBytesPerWalker` per walker) and restores them bit-exactly, including
@@ -126,30 +134,30 @@ public:
     void clear() noexcept { walkers_.clear(); }
     [[nodiscard]] std::size_t live() const noexcept { return walkers_.size(); }
 
-    /// Make room for `count` walkers in one allocation. Callers spawning a
-    /// known number of walkers reserve first: a record vector grown by
-    /// doubling holds its old and new buffers at once.
-    void reserve(std::size_t count) { walkers_.reserve(count); }
-
-    /// Least elapsed step count over the live walkers (max u64 when none) —
-    /// the sharded engine's measure of how far a residency has advanced.
-    [[nodiscard]] std::uint64_t min_live_elapsed() const noexcept;
-
     /// Add walker `id` with exponent `alpha`, its stream positioned after
     /// the strategy's exponent draw (exactly where the scalar walk starts).
     void spawn(std::size_t id, double alpha, rng stream, dist_cache& dists);
+
+    /// Spawn walkers lo..hi-1 of a trial: walker i draws its exponent from
+    /// `trial_stream.substream(i)`, the same draws as scalar. Room for them
+    /// is reserved first: a record vector grown by doubling holds its old
+    /// and new buffers at once.
+    void spawn_range(std::size_t lo, std::size_t hi, const exponent_strategy& strategy,
+                     const rng& trial_stream, dist_cache& dists);
 
     /// One epoch: every live walker advances one phase (or `opts.epoch_steps`
     /// chunk), bounded by the lex-min of `allowance_cap` and `best`'s own
     /// record. Hits register into `best`; retired walkers compact away.
     /// `allowance_cap` is a pruning bound only (pass the trial budget, or a
     /// better time already found elsewhere) — it can never change which
-    /// lex-min the union of all blocks' bests converges to.
-    void epoch(const engine_options& opts, const dist_cache& dists, point target,
-               std::uint64_t allowance_cap, best_state& best);
+    /// lex-min the union of all blocks' bests converges to. Returns the
+    /// least elapsed step count over the walkers kept (max u64 when none) —
+    /// the sharded engine's measure of how far a residency has advanced.
+    std::uint64_t epoch(const engine_options& opts, const dist_cache& dists, point target,
+                        std::uint64_t allowance_cap, best_state& best);
 
     /// Serialized bytes per walker (see the .cpp layout table).
-    static constexpr std::size_t kBytesPerWalker = 28 * 8;
+    static constexpr std::size_t kBytesPerWalker = 20 * 8;
 
     /// Append the live walkers' serialized records to `out`.
     void serialize(const dist_cache& dists, std::vector<char>& out) const;
@@ -170,15 +178,10 @@ private:
         std::int64_t x = 0, y = 0;  // position at current phase start
         std::uint64_t elapsed = 0;  // steps consumed so far
         std::uint64_t phase = 0;    // phases begun (1-based substream key)
-        // Residue of the phase in progress (total == 0 between phases):
-        std::uint64_t total = 0;            // phase length d
-        std::uint64_t j = 0;                // steps taken within the phase
-        std::int64_t adx = 0, ady = 0;      // |Δx|, |Δy| of the phase
-        std::int64_t sx = 1, sy = 1;        // axis signs (±1)
-        std::int64_t px = 0, py = 0;        // Bresenham replay progress
-        std::int64_t destx = 0, desty = 0;  // phase destination
-        std::uint64_t istar = 0;            // candidate hit step (0 = none)
-        std::int64_t pxt = 0;               // x-progress the target requires at i*
+        // Residue of the phase in progress (dx == dy == 0 between phases):
+        std::int64_t dx = 0, dy = 0;  // displacement to the phase destination
+        std::uint64_t j = 0;          // steps taken within the phase
+        std::int64_t px = 0;          // Bresenham x-progress (replay only)
     };
 
     /// Advance `w`, whose elapsed steps are below `allowance`, by one phase
@@ -186,8 +189,9 @@ private:
     /// the walker must retire.
     static bool advance_one(walker& w, const engine_options& opts, const dist_cache& dists,
                             std::uint64_t allowance, point target, best_state& best);
-    /// One Bresenham replay step for `w`, tie coins from its path stream.
-    static void replay_step(walker& w);
+    /// Replay `w`'s path up to step `to`, tie coins from its path stream;
+    /// `adx`, `ady` are |dx|, |dy|. Its y-progress is j − px throughout.
+    static void replay(walker& w, std::int64_t adx, std::int64_t ady, std::uint64_t to);
 
     std::vector<walker> walkers_;  // the live walkers, densely packed
 };

@@ -8,6 +8,7 @@
 
 #include "src/core/contracts.h"
 #include "src/sim/experiment.h"
+#include "src/sim/fault.h"
 
 namespace levy::sim {
 namespace {
@@ -307,6 +308,21 @@ TEST(CsvWriter, StreamsToTempAndRenamesOnClose) {
     EXPECT_EQ(ss.str(), "a\n1\n");
     std::remove(path.c_str());
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST(CsvWriter, CloseFsyncsTheParentDirectory) {
+    // Same durability rule as atomic_write_file: the rename into place is
+    // durable only once the parent directory is fsynced, and the shared
+    // commit path counts that fsync (note_dir_fsync).
+    const std::string path = "/tmp/levy_csv_durable_test.csv";
+    csv_writer w(path);
+    w.row({"1"});
+    const std::uint64_t before = dir_fsync_count();
+    w.close();
+    EXPECT_GT(dir_fsync_count(), before);
+    std::remove(path.c_str());
+}
+#endif
 
 }  // namespace
 }  // namespace levy::sim

@@ -304,36 +304,6 @@ TEST(WalkerBlockSerialize, RoundTripIsBitExactMidPhase) {
     EXPECT_EQ(best.winner, best2.winner);
 }
 
-TEST(WalkerBlockSerialize, RejectsStructurallyInvalidRecords) {
-    dist_cache dists;
-    dists.reset(kNoCap);
-    walker_block block;
-    rng stream = rng::seeded(11).substream(0);
-    const double alpha = fixed_exponent(2.5)(0, stream);
-    block.spawn(0, alpha, stream, dists);
-    best_state best;
-    block.epoch(engine_options{.epoch_steps = 1}, dists, point{90, 0}, 100, best);
-    ASSERT_EQ(block.live(), 1u);
-    std::vector<char> good;
-    block.serialize(dists, good);
-    ASSERT_EQ(good.size(), walker_block::kBytesPerWalker);
-
-    const auto rejects = [&](std::size_t offset, const char* what) {
-        std::vector<char> bad = good;
-        for (std::size_t b = 0; b < 8; ++b) bad[offset + b] = 0;  // field := 0
-        walker_block scratch;
-        dist_cache scratch_dists;
-        scratch_dists.reset(kNoCap);
-        EXPECT_FALSE(scratch.deserialize(bad.data(), 1, scratch_dists)) << what;
-        EXPECT_EQ(scratch.live(), 0u) << what;
-    };
-    rejects(8, "alpha bits = 0 (alpha must exceed 1)");
-    rejects(160, "sx = 0 (axis signs must be +/-1)");
-    // A valid record still restores after the rejections above.
-    walker_block scratch;
-    EXPECT_TRUE(scratch.deserialize(good.data(), 1, dists));
-}
-
 /// --- spill record layout, pinned independently of walker_block ------------
 ///
 /// One spill record, field by field, in file order. The encoder and decoder
@@ -346,10 +316,10 @@ struct walker_record {
     rng::state main;
     rng::state path;
     std::int64_t x = 0, y = 0;
-    std::uint64_t elapsed = 0, phase = 0, total = 0, j = 0;
-    std::int64_t adx = 0, ady = 0, sx = 0, sy = 0, px = 0, py = 0, destx = 0, desty = 0;
-    std::uint64_t istar = 0;
-    std::int64_t pxt = 0;
+    std::uint64_t elapsed = 0, phase = 0;
+    std::int64_t dx = 0, dy = 0;
+    std::uint64_t j = 0;
+    std::int64_t px = 0;
 };
 
 void put_word(std::vector<char>& out, std::uint64_t v) {
@@ -374,12 +344,10 @@ std::vector<char> encode_records(const std::vector<walker_record>& records) {
         put_rng(r.main);
         put_rng(r.path);
         for (const std::int64_t v : {r.x, r.y}) put_word(out, static_cast<std::uint64_t>(v));
-        for (const std::uint64_t v : {r.elapsed, r.phase, r.total, r.j}) put_word(out, v);
-        for (const std::int64_t v : {r.adx, r.ady, r.sx, r.sy, r.px, r.py, r.destx, r.desty}) {
-            put_word(out, static_cast<std::uint64_t>(v));
-        }
-        put_word(out, r.istar);
-        put_word(out, static_cast<std::uint64_t>(r.pxt));
+        for (const std::uint64_t v : {r.elapsed, r.phase}) put_word(out, v);
+        for (const std::int64_t v : {r.dx, r.dy}) put_word(out, static_cast<std::uint64_t>(v));
+        put_word(out, r.j);
+        put_word(out, static_cast<std::uint64_t>(r.px));
     }
     return out;
 }
@@ -402,19 +370,81 @@ walker_record decode_record(const char* p) {
     r.y = sword(13);
     r.elapsed = word(14);
     r.phase = word(15);
-    r.total = word(16);
-    r.j = word(17);
-    r.adx = sword(18);
-    r.ady = sword(19);
-    r.sx = sword(20);
-    r.sy = sword(21);
-    r.px = sword(22);
-    r.py = sword(23);
-    r.destx = sword(24);
-    r.desty = sword(25);
-    r.istar = word(26);
-    r.pxt = sword(27);
+    r.dx = sword(16);
+    r.dy = sword(17);
+    r.j = word(18);
+    r.px = sword(19);
     return r;
+}
+
+TEST(WalkerBlockSerialize, RejectsStructurallyInvalidRecords) {
+    // A mid-phase record, valid by construction: a (5, -3) phase, 3 steps
+    // in, 2 of them along x.
+    const rng stream = rng::seeded(11).substream(0);
+    walker_record good;
+    good.alpha_bits = std::bit_cast<std::uint64_t>(2.5);
+    good.main = stream.save();
+    good.path = stream.substream(2).save();
+    good.x = 4;
+    good.y = -1;
+    good.elapsed = 9;
+    good.phase = 2;
+    good.dx = 5;
+    good.dy = -3;
+    good.j = 3;
+    good.px = 2;
+
+    const auto restores = [](const walker_record& r) {
+        const std::vector<char> bytes = encode_records({r});
+        EXPECT_EQ(bytes.size(), walker_block::kBytesPerWalker);
+        walker_block block;
+        dist_cache dists;
+        dists.reset(kNoCap);
+        const bool ok = block.deserialize(bytes.data(), 1, dists);
+        EXPECT_EQ(block.live(), ok ? 1u : 0u);  // a rejected record leaves none
+        return ok;
+    };
+    const auto with = [&good](auto mutate) {
+        walker_record r = good;
+        mutate(r);
+        return r;
+    };
+    EXPECT_TRUE(restores(good));
+    // Each case breaks exactly one clause.
+    EXPECT_FALSE(restores(with([](walker_record& r) { r.alpha_bits = 0; })))
+        << "alpha bits 0: alpha must exceed 1";
+    EXPECT_FALSE(restores(with([](walker_record& r) { r.x = INT64_MIN + 1; })))
+        << "|x| must stay below 2^62";
+    EXPECT_FALSE(restores(with([](walker_record& r) { r.dx = INT64_MIN; })))
+        << "|dx| must stay below 2^62";
+    EXPECT_FALSE(restores(with([](walker_record& r) { r.dy = std::int64_t{1} << 62; })))
+        << "|dy| must stay below 2^62";
+    EXPECT_FALSE(restores(with([](walker_record& r) { r.phase = 0; })))
+        << "a phase in progress has phase > 0";
+    EXPECT_FALSE(restores(with([](walker_record& r) {
+        r.px = 6;
+        r.j = 7;
+    }))) << "px > |dx|";
+    EXPECT_FALSE(restores(with([](walker_record& r) { r.px = -1; }))) << "px < 0";
+    EXPECT_FALSE(restores(with([](walker_record& r) { r.j = 1; }))) << "px > j";
+    EXPECT_FALSE(restores(with([](walker_record& r) { r.j = 8; }))) << "j >= |dx| + |dy|";
+    EXPECT_FALSE(restores(with([](walker_record& r) {
+        r.dx = r.dy = 0;
+        r.y = std::int64_t{1} << 62;
+    }))) << "|y| must stay below 2^62 between phases too";
+
+    // Between phases (dx = dy = 0) the residue is never read, so it is not
+    // checked. Nor is y-progress bounded: a walker whose candidate step is
+    // behind it skips steps without replaying them, so j - px may pass |dy|.
+    EXPECT_TRUE(restores(with([](walker_record& r) {
+        r.dx = r.dy = 0;
+        r.phase = 0;
+        r.j = 99;
+    })));
+    EXPECT_TRUE(restores(with([](walker_record& r) {
+        r.px = 0;
+        r.j = 7;
+    })));
 }
 
 TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
@@ -436,7 +466,6 @@ TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
         r.alpha_bits = std::bit_cast<std::uint64_t>(alpha);
         r.main = stream.save();
         r.path = stream.substream(0).save();
-        r.sx = r.sy = 1;
         spawned.push_back(r);
     }
     std::vector<char> bytes;
@@ -465,31 +494,31 @@ TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
         EXPECT_EQ(r.alpha_bits, spawned[r.id].alpha_bits) << "walker " << r.id;
         EXPECT_EQ(r.main.seed, trial.substream(r.id).seed()) << "walker " << r.id;
         EXPECT_NE(r.main.engine, spawned[r.id].main.engine) << "walker " << r.id;
-        EXPECT_TRUE((r.sx == 1 || r.sx == -1) && (r.sy == 1 || r.sy == -1)) << "walker " << r.id;
         EXPECT_EQ(r.elapsed, kEpochs) << "walker " << r.id;
         EXPECT_TRUE(r.phase >= 1 && r.phase <= kEpochs) << "walker " << r.id;
-        if (r.total != 0) {
+        if (r.dx != 0 || r.dy != 0) {
             ++mid_phase;
+            const std::int64_t adx = std::abs(r.dx);
+            const std::int64_t ady = std::abs(r.dy);
+            const auto t = adx + ady;  // the phase length
+            const auto j = static_cast<std::int64_t>(r.j);
             EXPECT_EQ(r.path.seed, rng::seeded(r.main.seed).substream(r.phase).seed());
-            EXPECT_EQ(static_cast<std::uint64_t>(r.adx + r.ady), r.total);
-            EXPECT_TRUE(r.j >= 1 && r.j < r.total) << "walker " << r.id;
+            EXPECT_TRUE(j >= 1 && j < t) << "walker " << r.id;
             if (r.phase == 1) {
                 EXPECT_EQ(r.j, kEpochs) << "walker " << r.id;
             }
-            EXPECT_TRUE(r.px >= 0 && r.px <= r.adx && r.py >= 0 && r.py <= r.ady);
-            EXPECT_EQ(r.destx, r.x + r.sx * r.adx);
-            EXPECT_EQ(r.desty, r.y + r.sy * r.ady);
-            if (r.istar != 0) {
+            EXPECT_TRUE(r.px >= 0 && r.px <= adx && r.px <= j) << "walker " << r.id;
+            // The candidate step i* and its x-progress, derived from the
+            // target and the phase start as the engine derives them.
+            const std::int64_t tdx = r.dx < 0 ? r.x - target.x : target.x - r.x;
+            const std::int64_t tdy = r.dy < 0 ? r.y - target.y : target.y - r.y;
+            if (tdx >= 0 && tdx <= adx && tdy >= 0 && tdy <= ady && j < tdx + tdy) {
                 // A pending candidate replays every step: x and y progress
-                // each stay within one step of the straight line.
+                // (y being j - px) each stay within one step of the
+                // straight line.
                 ++candidates;
-                const auto t = static_cast<std::int64_t>(r.total);
-                const auto j = static_cast<std::int64_t>(r.j);
-                EXPECT_EQ(r.px + r.py, j);
-                EXPECT_LT(std::abs(t * r.px - j * r.adx), t) << "walker " << r.id;
-                EXPECT_LT(std::abs(t * r.py - j * r.ady), t) << "walker " << r.id;
-                EXPECT_EQ(r.pxt, r.sx * (target.x - r.x));
-                EXPECT_EQ(r.istar, static_cast<std::uint64_t>(r.pxt + r.sy * (target.y - r.y)));
+                EXPECT_LT(std::abs(t * r.px - j * adx), t) << "walker " << r.id;
+                EXPECT_LT(std::abs(t * (j - r.px) - j * ady), t) << "walker " << r.id;
             }
         }
         records.push_back(r);
@@ -505,8 +534,8 @@ TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
 /// k = 4 walkers in 4 single-walker shards under a 300-byte budget means
 /// only one shard stays resident, so shard 0 is evicted (spill ordinal 1)
 /// while shard 1 advances in round 1, and reloaded at the top of round 2.
-/// A single-walker spill file is 132 (header) + 224 (record) + 4 (body crc)
-/// = 360 bytes; the tests sweep every one of those byte offsets. No walker
+/// A single-walker spill file is 132 (header) + 160 (record) + 4 (body crc)
+/// = 296 bytes; the tests sweep every one of those byte offsets. No walker
 /// of this seed reaches the target within the tiny budget, so every trial
 /// is an all-miss (parity also covers the NaN winner_alpha path); the target
 /// is still within reach (‖target‖₁ = budget), so the reach bound retires no
@@ -525,7 +554,7 @@ constexpr std::size_t kOneWalkerSpillBytes = 132 + walker_block::kBytesPerWalker
 shard_options corruption_options(const std::string& dir) {
     shard_options opts;
     opts.shards = 4;
-    opts.memory_budget = 300;  // one resident walker (224 B) at a time
+    opts.memory_budget = 300;  // one resident walker (160 B) at a time
     opts.epoch_steps = 1;
     opts.spill_dir = dir;
     return opts;

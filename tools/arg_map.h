@@ -2,7 +2,9 @@
 
 // `--flag[=value]` parsing shared by the command-line tools.
 
+#include <algorithm>
 #include <charconv>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -10,23 +12,25 @@
 
 namespace levy::tools {
 
-/// The arguments from `argv[first]` on, each `--key` or `--key=value`; a
-/// repeated key keeps its last value. Anything else throws
-/// std::invalid_argument.
+/// The arguments from `argv[first]` on, each `--key` or `--key=value` with
+/// `key` one of `flags` (the flags the command takes); a repeated key keeps
+/// its last value. Anything else throws std::invalid_argument, so a
+/// misspelled flag stops the command instead of being ignored.
 class arg_map {
 public:
-    arg_map(int argc, char** argv, int first) {
+    arg_map(int argc, char** argv, int first, std::initializer_list<std::string_view> flags) {
         for (int i = first; i < argc; ++i) {
             const std::string_view arg = argv[i];
             if (arg.substr(0, 2) != "--") {
                 throw std::invalid_argument("expected --flag[=value], got: " + std::string(arg));
             }
             const auto eq = arg.find('=');
-            if (eq == std::string_view::npos) {
-                values_[std::string(arg.substr(2))] = "";
-            } else {
-                values_[std::string(arg.substr(2, eq - 2))] = std::string(arg.substr(eq + 1));
+            const std::string_view key = arg.substr(2, eq - 2);
+            if (std::find(flags.begin(), flags.end(), key) == flags.end()) {
+                throw std::invalid_argument("unknown flag: --" + std::string(key));
             }
+            values_[std::string(key)] =
+                eq == std::string_view::npos ? std::string() : std::string(arg.substr(eq + 1));
         }
     }
 

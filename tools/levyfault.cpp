@@ -61,6 +61,7 @@
 #include "src/sim/fault.h"
 #include "src/sim/monte_carlo.h"
 #include "src/sim/trial.h"
+#include "src/sim/walk_engine.h"
 #include "tools/arg_map.h"
 
 #if LEVY_SERVE_HAVE_POSIX_SOCKETS
@@ -72,7 +73,11 @@ namespace {
 using namespace levy;
 using tools::arg_map;
 
-int cmd_run(const arg_map& args) {
+int cmd_run(int argc, char** argv) {
+    const arg_map args(argc, argv, 2,
+                       {"trials", "seed", "threads", "out", "checkpoint", "checkpoint-interval",
+                        "max-steps-per-trial", "crash-after", "cancel-after", "torn-write",
+                        "short-write"});
     sim::mc_options opts;
     opts.trials = args.get<std::size_t>("trials", 120);
     opts.seed = args.get<std::uint64_t>("seed", sim::kDefaultSeed);
@@ -123,7 +128,10 @@ int cmd_run(const arg_map& args) {
     return 0;
 }
 
-int cmd_shardrun(const arg_map& args) {
+int cmd_shardrun(int argc, char** argv) {
+    const arg_map args(argc, argv, 2,
+                       {"trials", "seed", "threads", "out", "shards", "memory-budget",
+                        "spill-dir", "kill-at-spill"});
     sim::mc_options opts;
     opts.trials = args.get<std::size_t>("trials", 6);
     opts.seed = args.get<std::uint64_t>("seed", 4242);
@@ -185,8 +193,10 @@ int fail(const std::string& what) {
     return 1;
 }
 
-int cmd_selftest(const std::string& self, const arg_map& args) {
+int cmd_selftest(int argc, char** argv) {
     namespace fs = std::filesystem;
+    const arg_map args(argc, argv, 2, {"dir"});
+    const std::string self = argv[0];
     const fs::path dir = args.text("dir", (fs::temp_directory_path() / "levyfault_selftest").string());
     fs::remove_all(dir);
     fs::create_directories(dir);
@@ -244,8 +254,10 @@ int cmd_selftest(const std::string& self, const arg_map& args) {
     return 0;
 }
 
-int cmd_shards_drill(const std::string& self, const arg_map& args) {
+int cmd_shards_drill(int argc, char** argv) {
     namespace fs = std::filesystem;
+    const arg_map args(argc, argv, 2, {"dir"});
+    const std::string self = argv[0];
     const fs::path dir =
         args.text("dir", (fs::temp_directory_path() / "levyfault_shards").string());
     fs::remove_all(dir);
@@ -271,9 +283,9 @@ int cmd_shards_drill(const std::string& self, const arg_map& args) {
         // 6 shards of 2 walkers under a 3-walker resident budget: every
         // round evicts, so spills are frequent and a kill lands mid-flight.
         const std::string spill_dir = p("spill-" + tag);
-        const std::string sharded_flags = " --shards=6 --memory-budget=" +
-                                          std::to_string(3 * 224) +
-                                          " --spill-dir=" + spill_dir;
+        const std::string sharded_flags =
+            " --shards=6 --memory-budget=" +
+            std::to_string(3 * sim::walker_block::kBytesPerWalker) + " --spill-dir=" + spill_dir;
         std::cout << "[levyfault] out-of-core kill/resume, threads=" << threads << "\n";
 
         if (spawn(self, common + " --out=" + p("ref.csv")) != 0) {
@@ -335,7 +347,8 @@ int serve_fail(serve::server& server, const std::string& what) {
     return 1;
 }
 
-int cmd_serve_drills() {
+int cmd_serve_drills(int argc, char** argv) {
+    (void)arg_map(argc, argv, 2, {});  // the drills take no flags
     // One worker and a tiny queue: if any drill wedged the worker, the
     // follow-up health check could never answer.
     serve::serve_options opts;
@@ -407,7 +420,7 @@ int cmd_serve_drills() {
 
 #else
 
-int cmd_serve_drills() {
+int cmd_serve_drills(int /*argc*/, char** /*argv*/) {
     std::cerr << "levyfault serve requires POSIX sockets on this platform\n";
     return 2;
 }
@@ -427,12 +440,11 @@ int main(int argc, char** argv) {
             return 2;
         }
         const std::string_view cmd = argv[1];
-        const arg_map args(argc, argv, 2);
-        if (cmd == "run") return cmd_run(args);
-        if (cmd == "shardrun") return cmd_shardrun(args);
-        if (cmd == "selftest") return cmd_selftest(argv[0], args);
-        if (cmd == "shards") return cmd_shards_drill(argv[0], args);
-        if (cmd == "serve") return cmd_serve_drills();
+        if (cmd == "run") return cmd_run(argc, argv);
+        if (cmd == "shardrun") return cmd_shardrun(argc, argv);
+        if (cmd == "selftest") return cmd_selftest(argc, argv);
+        if (cmd == "shards") return cmd_shards_drill(argc, argv);
+        if (cmd == "serve") return cmd_serve_drills(argc, argv);
         usage();
         return 2;
     } catch (const sim::run_cancelled&) {

@@ -81,7 +81,12 @@ serve::serve_options options_from(const arg_map& args) {
     return opts;
 }
 
-int cmd_serve(const arg_map& args) {
+int cmd_serve(int argc, char** argv) {
+    const arg_map args(argc, argv, 2,
+                       {"port", "workers", "queue-capacity", "deadline-ms", "max-deadline-ms",
+                        "steps-per-ms", "trials", "seed", "cache", "cache-capacity",
+                        "cache-flush-every", "fault-exit-at-cache-flush", "fault-throw-at-query",
+                        "port-file"});
     const serve::serve_options opts = options_from(args);
 
     sim::fault_plan plan;
@@ -150,7 +155,8 @@ std::vector<std::string> batch_paths(const std::string& batch, std::size_t count
     return paths;
 }
 
-int cmd_replay(const arg_map& args) {
+int cmd_replay(int argc, char** argv) {
+    const arg_map args(argc, argv, 2, {"port", "out", "batch", "count"});
     const auto port = args.get<unsigned short>("port", 0);
     if (port == 0) throw std::invalid_argument("levyserve replay: need --port");
     const std::string out_path = args.text("out", "");
@@ -184,7 +190,8 @@ int cmd_replay(const arg_map& args) {
     return 0;
 }
 
-int cmd_loadgen(const arg_map& args) {
+int cmd_loadgen(int argc, char** argv) {
+    const arg_map args(argc, argv, 2, {"port", "requests", "concurrency", "timeout", "path"});
     serve::loadgen_options opts;
     opts.port = args.get<unsigned short>("port", 0);
     if (opts.port == 0) throw std::invalid_argument("levyserve loadgen: need --port");
@@ -292,8 +299,10 @@ int run_child(const std::string& self, const std::string& args) {
     return std::system(cmd.c_str());
 }
 
-int cmd_selftest(const std::string& self, const arg_map& args) {
+int cmd_selftest(int argc, char** argv) {
     namespace fs = std::filesystem;
+    const arg_map args(argc, argv, 2, {"dir"});
+    const std::string self = argv[0];
     const fs::path dir =
         args.text("dir", (fs::temp_directory_path() / "levyserve_selftest").string());
     fs::remove_all(dir);
@@ -407,11 +416,10 @@ int main(int argc, char** argv) {
             return 2;
         }
         const std::string_view cmd = argv[1];
-        const arg_map args(argc, argv, 2);
-        if (cmd == "serve") return cmd_serve(args);
-        if (cmd == "replay") return cmd_replay(args);
-        if (cmd == "loadgen") return cmd_loadgen(args);
-        if (cmd == "selftest") return cmd_selftest(argv[0], args);
+        if (cmd == "serve") return cmd_serve(argc, argv);
+        if (cmd == "replay") return cmd_replay(argc, argv);
+        if (cmd == "loadgen") return cmd_loadgen(argc, argv);
+        if (cmd == "selftest") return cmd_selftest(argc, argv);
         usage();
         return 2;
     } catch (const std::exception& e) {

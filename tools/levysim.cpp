@@ -34,7 +34,8 @@ namespace {
 using namespace levy;
 using tools::arg_map;
 
-int cmd_walk(const arg_map& args) {
+int cmd_walk(int argc, char** argv) {
+    const arg_map args(argc, argv, 2, {"alpha", "steps", "seed"});
     const double alpha = args.get("alpha", 2.5);
     const auto steps = args.get<std::uint64_t>("steps", 1000);
     const auto seed = args.get<std::uint64_t>("seed", sim::kDefaultSeed);
@@ -47,7 +48,8 @@ int cmd_walk(const arg_map& args) {
     return 0;
 }
 
-int cmd_hit(const arg_map& args) {
+int cmd_hit(int argc, char** argv) {
+    const arg_map args(argc, argv, 2, {"alpha", "ell", "budget", "trials", "seed"});
     sim::single_walk_config cfg;
     cfg.alpha = args.get("alpha", 2.5);
     cfg.ell = args.get<std::int64_t>("ell", 64);
@@ -61,7 +63,8 @@ int cmd_hit(const arg_map& args) {
     return 0;
 }
 
-int cmd_parallel(const arg_map& args) {
+int cmd_parallel(int argc, char** argv) {
+    const arg_map args(argc, argv, 2, {"k", "ell", "budget", "alpha", "random", "trials", "seed"});
     sim::parallel_walk_config cfg;
     cfg.k = args.get<std::size_t>("k", 32);
     cfg.ell = args.get<std::int64_t>("ell", 64);
@@ -83,7 +86,8 @@ int cmd_parallel(const arg_map& args) {
     return 0;
 }
 
-int cmd_sweep(const arg_map& args) {
+int cmd_sweep(int argc, char** argv) {
+    const arg_map args(argc, argv, 2, {"k", "ell", "trials", "seed"});
     const auto k = args.get<std::size_t>("k", 32);
     const auto ell = args.get<std::int64_t>("ell", 128);
     const auto trials = args.get<std::size_t>("trials", 60);
@@ -107,7 +111,8 @@ int cmd_sweep(const arg_map& args) {
     return 0;
 }
 
-int cmd_occupancy(const arg_map& args) {
+int cmd_occupancy(int argc, char** argv) {
+    const arg_map args(argc, argv, 2, {"alpha", "steps", "radius"});
     const double alpha = args.get("alpha", 2.5);
     const auto steps = args.get<std::uint64_t>("steps", 4);
     const auto radius = args.get<std::int64_t>("radius", 10);
@@ -151,18 +156,17 @@ int main(int argc, char** argv) {
             return 2;
         }
         const std::string_view cmd = argv[1];
-        const arg_map args(argc, argv, 2);
         int rc = 2;
         if (cmd == "walk") {
-            rc = cmd_walk(args);
+            rc = cmd_walk(argc, argv);
         } else if (cmd == "hit") {
-            rc = cmd_hit(args);
+            rc = cmd_hit(argc, argv);
         } else if (cmd == "parallel") {
-            rc = cmd_parallel(args);
+            rc = cmd_parallel(argc, argv);
         } else if (cmd == "sweep") {
-            rc = cmd_sweep(args);
+            rc = cmd_sweep(argc, argv);
         } else if (cmd == "occupancy") {
-            rc = cmd_occupancy(args);
+            rc = cmd_occupancy(argc, argv);
         } else {
             usage();
         }

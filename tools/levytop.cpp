@@ -17,14 +17,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>  // levylint:allow(raw-thread) client-side poll sleep only
 
 #include "src/obs/json.h"
 #include "src/serve/http.h"
+#include "tools/arg_map.h"
 
 #if !LEVY_SERVE_HAVE_POSIX_SOCKETS
 #error "levytop requires POSIX sockets"
@@ -51,39 +52,24 @@ struct options {
 }
 
 options parse(int argc, char** argv) {
-    options opts;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
-        const auto value = [&](std::string_view flag) -> std::optional<std::string> {
-            if (arg.substr(0, flag.size()) != flag || arg.size() <= flag.size() ||
-                arg[flag.size()] != '=') {
-                return std::nullopt;
-            }
-            return std::string(arg.substr(flag.size() + 1));
-        };
-        if (auto p = value("--port")) {
-            opts.port = std::atoi(p->c_str());
-        } else if (auto h = value("--host")) {
-            opts.host = *h;
-        } else if (auto s = value("--interval")) {
-            opts.interval = std::atof(s->c_str());
-        } else if (arg == "--once") {
-            opts.once = true;
-        } else if (arg == "--raw") {
-            opts.raw = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "levytop: unknown argument: %s\n", argv[i]);
-            usage(1);
+        if (arg == "--help" || arg == "-h") usage(0);
+    }
+    options opts;
+    try {
+        const levy::tools::arg_map args(argc, argv, 1, {"port", "host", "interval", "once", "raw"});
+        opts.port = args.get("port", opts.port);
+        opts.host = args.text("host", opts.host);
+        opts.interval = args.get("interval", opts.interval);
+        opts.once = args.has("once");
+        opts.raw = args.has("raw");
+        if (opts.port < 1 || opts.port > 65535) {
+            throw std::invalid_argument("--port=P is required (1..65535)");
         }
-    }
-    if (opts.port < 0 || opts.port > 65535) {
-        std::fputs("levytop: --port=P is required (1..65535)\n", stderr);
-        usage(1);
-    }
-    if (!(opts.interval > 0.0)) {
-        std::fputs("levytop: --interval must be positive\n", stderr);
+        if (!(opts.interval > 0.0)) throw std::invalid_argument("--interval must be positive");
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "levytop: %s\n", e.what());
         usage(1);
     }
     return opts;
