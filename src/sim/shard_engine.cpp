@@ -22,7 +22,7 @@
 namespace levy::sim {
 namespace {
 
-/// Spill file format (version 2, all integers little-endian):
+/// Spill file format (version 3, all integers little-endian):
 ///
 ///     header : magic u64 "LVYSHARD" | version | shard_index | shard_count
 ///            | trial_seed | k | cap | budget | target_x | target_y
@@ -30,7 +30,7 @@ namespace {
 ///            | best_winner                     (15 u64 fields after magic)
 ///            | crc32(previous 128 bytes) u32
 ///     body   : live × walker_block::kBytesPerWalker walker records
-///              (layout in walk_engine.cpp)
+///              (14 u64 each; layout in walk_engine.cpp)
 ///            | crc32(body) u32
 ///
 /// Everything before `live` is the run identity: a file whose identity does
@@ -39,7 +39,7 @@ namespace {
 /// The version is part of the identity, so a file in another record layout
 /// recomputes its shard and is never misread.
 constexpr std::uint64_t kMagic = 0x4c56595348415244ULL;  // "LVYSHARD" big-endian bytes
-constexpr std::uint64_t kVersion = 2;
+constexpr std::uint64_t kVersion = 3;
 constexpr std::size_t kHeaderU64 = 16;  // magic + 15 fields
 constexpr std::size_t kIdentityU64 = 11;  // magic .. strategy_fp
 constexpr std::size_t kHeaderBytes = kHeaderU64 * 8 + 4;
@@ -305,8 +305,9 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
 
     /// Make `s` resident: restore its spill file, or (re)spawn from the
     /// trial stream — a pure function of (seed, walker id), so a recompute
-    /// under the current allowance converges to the same local best.
-    const auto touch = [&](shard& s) {
+    /// under the current allowance converges to the same local best. A
+    /// spawn is each walker's first visit, under `allowance_cap`.
+    const auto touch = [&](shard& s, std::uint64_t allowance_cap) {
         if (s.resident) return;
         if (!spare_blocks_.empty()) {  // else s.block starts empty and grows
             s.block = std::move(spare_blocks_.back());
@@ -331,8 +332,9 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
             obs::get_counter("shard.recomputed").add();
         }
         s.block.clear();
-        s.block.spawn_range(s.lo, s.hi, strategy, trial_stream, dists_);
         s.local = best_state{};
+        s.block.spawn_range(s.lo, s.hi, strategy, trial_stream, dists_, engine_opts, target,
+                            allowance_cap, s.local);
         s.rounds = 0;
         s.spawned = true;
         s.resident = true;
@@ -344,12 +346,12 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
         all_done = true;
         for (shard& s : shards) {
             if (s.done) continue;
-            make_room(s);
-            touch(s);
-            s.last_touch = ++touch_clock;
-            note_peak();
             const std::uint64_t allowance_cap =
                 global.hit ? std::min(global.time, budget) : budget;
+            make_room(s);
+            touch(s, allowance_cap);
+            s.last_touch = ++touch_clock;
+            note_peak();
             ++s.rounds;
             // A residency advances a full quantum of *steps*, not one epoch:
             // epoch() takes one phase segment per walker, and Lévy phases

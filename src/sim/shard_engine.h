@@ -81,20 +81,22 @@ struct shard_run_stats {
 /// after that, and residents are evicted until those bytes fit, so
 /// `peak_resident_bytes` never exceeds a budget that holds one walker. (A
 /// shard whose spill file fails to read back respawns in full and may
-/// overshoot it.)
+/// overshoot it.) Spawning is each walker's first visit, so a shard stores
+/// only the walkers that survive it: the id-block size is an upper bound.
 ///
 /// ## Durability
 ///
 /// Spill files double as the resume state. Each carries the full run
-/// identity (trial seed, k, cap, budget, target, a strategy fingerprint),
-/// the shard's serialized walkers, its local best, and CRCs over header and
-/// body, written via atomic_write_file (tmp + fsync + rename + parent-dir
-/// fsync). A kill -9 mid-epoch therefore loses at most the shards not yet
-/// flushed this round: on re-run with the same parameters, shards with a
-/// valid file resume from it, everything else replays deterministically
-/// from spawn. A corrupt or truncated file fails its CRC, is dropped, and
-/// only that shard recomputes — never its neighbors. Clean completion
-/// removes the trial's spill files.
+/// identity (trial seed, k, cap, budget, target, a strategy fingerprint,
+/// and the format version), the shard's serialized walkers (112 bytes
+/// each, layout in walk_engine.cpp), its local best, and CRCs over header
+/// and body, written via atomic_write_file (tmp + fsync + rename +
+/// parent-dir fsync). A kill -9 mid-epoch therefore loses at most the
+/// shards not yet flushed this round: on re-run with the same parameters,
+/// shards with a valid file resume from it, everything else replays
+/// deterministically from spawn. A corrupt or truncated file fails its
+/// CRC, is dropped, and only that shard recomputes — never its neighbors.
+/// Clean completion removes the trial's spill files.
 class sharded_walk_engine {
 public:
     /// One parallel trial; bit-exact with walk_engine::run_parallel (and

@@ -49,6 +49,43 @@ std::uint64_t gap(std::int64_t a, std::int64_t b) noexcept {
     return a < b ? ub - ua : ua - ub;
 }
 
+/// Reach bound (see walk_engine): true when node (x, y), `elapsed` <
+/// `allowance` steps in, is farther from `target` in L1 than the steps
+/// left. Strict, so a walker that can still tie the best time walks on.
+/// |Δx| + |Δy| is never formed, so nothing can wrap.
+bool out_of_reach(std::int64_t x, std::int64_t y, std::uint64_t elapsed,
+                  std::uint64_t allowance, point target) noexcept {
+    const std::uint64_t left = allowance - elapsed;
+    const std::uint64_t gx = gap(target.x, x);
+    return gx > left || gap(target.y, y) > left - gx;
+}
+
+/// The x-progress after `to` steps of phase `phase` of the walker whose
+/// main stream is `main`: a direct path with |Δx| = adx and |Δy| = ady,
+/// replayed from the phase start with its tie coins from the phase's
+/// substream, as the scalar walk draws them. The y-progress is the step
+/// count minus it.
+std::int64_t replay_x(const rng& main, std::uint64_t phase, std::int64_t adx, std::int64_t ady,
+                      std::uint64_t to) {
+    rng path = main.substream(phase);
+    const auto total = static_cast<int128>(adx + ady);
+    std::int64_t px = 0;
+    for (std::uint64_t j = 0; j < to; ++j) {
+        const auto py = static_cast<std::int64_t>(j) - px;
+        bool step_x = px != adx;  // an axis whose budget is spent takes no step
+        if (step_x && py != ady) {
+            // The direct path's rule (grid/direct_path): step toward the
+            // straight line, with a tie coin when both nodes are as close.
+            const int128 i1 = static_cast<int128>(j) + 1;
+            const int128 ex = total * px - i1 * adx;
+            const int128 ey = total * py - i1 * ady;
+            step_x = ex < ey || (ex == ey && path.coin());
+        }
+        if (step_x) ++px;
+    }
+    return px;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -120,56 +157,38 @@ void dist_cache::place(std::uint32_t ix) noexcept {
 // walker_block
 
 void walker_block::spawn(std::size_t id, double alpha, rng stream, dist_cache& dists) {
-    // `path` is a placeholder until the first d >= 1 phase derives it.
     walkers_.push_back({.id = id,
                         .main = stream,
-                        .path = stream.substream(0),
                         .dist_ix = dists.index_for(alpha),
                         .x = origin.x,
                         .y = origin.y});
 }
 
 void walker_block::spawn_range(std::size_t lo, std::size_t hi, const exponent_strategy& strategy,
-                               const rng& trial_stream, dist_cache& dists) {
+                               const rng& trial_stream, dist_cache& dists,
+                               const engine_options& opts, point target,
+                               std::uint64_t allowance_cap, best_state& best) {
     walkers_.reserve(walkers_.size() + (hi - lo));
     for (std::size_t i = lo; i < hi; ++i) {
         rng stream = trial_stream.substream(i);
         const double alpha = strategy(i, stream);  // consumes the same draws as scalar
         spawn(i, alpha, stream, dists);
-    }
-}
-
-void walker_block::replay(walker& w, std::int64_t adx, std::int64_t ady, std::uint64_t to) {
-    const auto total = static_cast<int128>(adx + ady);
-    for (std::int64_t py = static_cast<std::int64_t>(w.j) - w.px; w.j < to; ++w.j) {
-        bool step_x = w.px != adx;  // an axis whose budget is spent takes no step
-        if (step_x && py != ady) {
-            // The direct path's rule (grid/direct_path): step toward the
-            // straight line, with a tie coin when both nodes are as close.
-            const int128 i1 = static_cast<int128>(w.j) + 1;
-            const int128 ex = total * w.px - i1 * adx;
-            const int128 ey = total * py - i1 * ady;
-            step_x = ex < ey || (ex == ey && w.path.coin());
-        }
-        if (step_x) {
-            ++w.px;
-        } else {
-            ++py;
+        // The first visit: a walker retired by it is never stored (its slot
+        // goes to the next spawn).
+        if (advance_one(walkers_.back(), opts, dists, target, allowance_cap, best)) {
+            walkers_.pop_back();
         }
     }
 }
 
 bool walker_block::advance_one(walker& w, const engine_options& opts, const dist_cache& dists,
-                               std::uint64_t allowance, point target, best_state& best) {
+                               point target, std::uint64_t allowance_cap, best_state& best) {
+    const std::uint64_t allowance = best.hit ? std::min(best.time, allowance_cap) : allowance_cap;
+    if (w.elapsed >= allowance) return true;
     if (w.dx == 0 && w.dy == 0) {
-        // Reach bound (see walk_engine): retire, before any draw, a walker
-        // whose L1 distance to the target exceeds the steps it has left.
-        // Strict, so a walker that can still tie the best time walks on.
-        // elapsed < allowance here, and |Δx| + |Δy| is never formed, so
-        // nothing can wrap.
-        const std::uint64_t left = allowance - w.elapsed;
-        const std::uint64_t gx = gap(target.x, w.x);
-        if (gx > left || gap(target.y, w.y) > left - gx) return true;
+        // Reach bound (see walk_engine), before any draw: elapsed <
+        // allowance here.
+        if (out_of_reach(w.x, w.y, w.elapsed, allowance, target)) return true;
         // Begin a phase: same stream, same draw order as the scalar walk.
         ++w.phase;
         // levylint:allow(conditional-main-draw): the phase-start guard is
@@ -180,9 +199,10 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
         if (d == 0) {
             // Stay-put phase: exactly one step, position unchanged. The
             // position is never the target here (a walker retires the step
-            // it first touches the target), so no hit check is needed.
+            // it first touches the target), so no hit check is needed; the
+            // phase ends here, so the reach bound runs again.
             ++w.elapsed;
-            return w.elapsed >= allowance;
+            return w.elapsed >= allowance || out_of_reach(w.x, w.y, w.elapsed, allowance, target);
         }
         const point from{w.x, w.y};
         // levylint:allow(conditional-main-draw): scalar parity — levy_walk
@@ -192,16 +212,14 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
         w.dx = delta.x;
         w.dy = delta.y;
         w.j = 0;
-        w.px = 0;
-        w.path = w.main.substream(w.phase);
     }
     const std::int64_t adx = abs64(w.dx);
     const std::int64_t ady = abs64(w.dy);
     const auto total = static_cast<std::uint64_t>(adx + ady);
     // Advance within the phase by at most the allowance (and the epoch
-    // quantum, when set). Steps past the candidate i* can neither hit nor
-    // influence any later draw — tie coins live on the throwaway per-phase
-    // substream — so they are skipped arithmetically.
+    // quantum, when set). Steps other than the candidate i* can neither hit
+    // nor influence any later draw — tie coins live on the throwaway
+    // per-phase substream — so they are skipped arithmetically.
     const std::uint64_t j0 = w.j;
     std::uint64_t take = std::min(total - j0, allowance - w.elapsed);
     if (opts.epoch_steps != 0) take = std::min(take, opts.epoch_steps);
@@ -209,15 +227,16 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
     // The path is monotone along both axes, and its node after step i is at
     // L1 distance exactly i from the phase start; the target can be visited
     // only if it sits in the bounding box, and then only at step
-    // i* = ‖target − start‖₁ with x-progress exactly tdx. A candidate is
-    // pending while j0 < i*: once the replay has passed i* it never is again.
+    // i* = ‖target − start‖₁ with x-progress exactly tdx. Only the visit
+    // whose steps (j0, jend] reach i* replays the coins, from the phase
+    // start: they are a pure function of (seed, phase), so an earlier visit
+    // leaves nothing to resume.
     const std::int64_t tdx = w.dx < 0 ? w.x - target.x : target.x - w.x;
     const std::int64_t tdy = w.dy < 0 ? w.y - target.y : target.y - w.y;
-    if (tdx >= 0 && tdx <= adx && tdy >= 0 && tdy <= ady &&
-        j0 < static_cast<std::uint64_t>(tdx + tdy)) {
+    if (tdx >= 0 && tdx <= adx && tdy >= 0 && tdy <= ady) {
         const auto istar = static_cast<std::uint64_t>(tdx + tdy);
-        replay(w, adx, ady, std::min(jend, istar));
-        if (w.j == istar && w.px == tdx) {
+        if (j0 < istar && istar <= jend &&
+            replay_x(w.main, w.phase, adx, ady, istar) == tdx) {
             const std::uint64_t t = w.elapsed + (istar - j0);
             // Order-independent lex-min registration: better time, or
             // equal time from a smaller walker index.
@@ -231,13 +250,18 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
     }
     w.j = jend;
     w.elapsed += take;
+    if (w.elapsed >= allowance) return true;
     if (w.j == total) {
+        // Phase end: the reach bound again, now from the destination. The
+        // allowance only shrinks, so a walker it retires here would retire
+        // at its next phase start anyway; retiring now saves storing it.
         w.x += w.dx;
         w.y += w.dy;
         w.dx = 0;
         w.dy = 0;
+        return out_of_reach(w.x, w.y, w.elapsed, allowance, target);
     }
-    return w.elapsed >= allowance;
+    return false;
 }
 
 std::uint64_t walker_block::epoch(const engine_options& opts, const dist_cache& dists,
@@ -247,10 +271,8 @@ std::uint64_t walker_block::epoch(const engine_options& opts, const dist_cache& 
     // — only the amount of pruned work does.
     std::uint64_t least = ~std::uint64_t{0};
     for (std::size_t i = 0; i < walkers_.size();) {
-        const std::uint64_t allowance =
-            best.hit ? std::min(best.time, allowance_cap) : allowance_cap;
         walker& w = walkers_[i];
-        if (w.elapsed >= allowance || advance_one(w, opts, dists, allowance, target, best)) {
+        if (advance_one(w, opts, dists, target, allowance_cap, best)) {
             // Retire: the last live record takes this slot, to be visited next.
             w = walkers_.back();
             walkers_.pop_back();
@@ -262,16 +284,15 @@ std::uint64_t walker_block::epoch(const engine_options& opts, const dist_cache& 
     return least;
 }
 
-// Spill record layout (version 2): kBytesPerWalker = 20 little-endian
+// Spill record layout (version 3): kBytesPerWalker = 14 little-endian
 // 8-byte words, the walker record's fields in order.
 //
 //     offset  field               offset  field
-//          0  id                     112  elapsed
-//          8  alpha bits             120  phase
-//         16  main rng (5 words)     128  dx
-//         56  path rng (5 words)     136  dy
-//         96  x                      144  j
-//        104  y                      152  px
+//          0  id                      72  elapsed
+//          8  alpha bits              80  phase
+//         16  main rng (5 words)      88  dx
+//         56  x                       96  dy
+//         64  y                      104  j
 //
 // An rng is its seed word then its four engine words (rng::state order).
 
@@ -283,7 +304,6 @@ void walker_block::serialize(const dist_cache& dists, std::vector<char>& out) co
         p = store_le(p, static_cast<std::uint64_t>(w.id));
         p = store_le(p, dists.alpha_bits(w.dist_ix));
         p = store_rng(p, w.main);
-        p = store_rng(p, w.path);
         p = store_le(p, w.x);
         p = store_le(p, w.y);
         p = store_le(p, w.elapsed);
@@ -291,7 +311,6 @@ void walker_block::serialize(const dist_cache& dists, std::vector<char>& out) co
         p = store_le(p, w.dx);
         p = store_le(p, w.dy);
         p = store_le(p, w.j);
-        p = store_le(p, w.px);
     }
 }
 
@@ -302,15 +321,13 @@ bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache&
         const char* p = bytes + i * kBytesPerWalker;
         walker w{.id = static_cast<std::size_t>(load_le<std::uint64_t>(p)),
                  .main = load_rng(p + 16),
-                 .path = load_rng(p + 56),
-                 .x = load_le<std::int64_t>(p + 96),
-                 .y = load_le<std::int64_t>(p + 104),
-                 .elapsed = load_le<std::uint64_t>(p + 112),
-                 .phase = load_le<std::uint64_t>(p + 120),
-                 .dx = load_le<std::int64_t>(p + 128),
-                 .dy = load_le<std::int64_t>(p + 136),
-                 .j = load_le<std::uint64_t>(p + 144),
-                 .px = load_le<std::int64_t>(p + 152)};
+                 .x = load_le<std::int64_t>(p + 56),
+                 .y = load_le<std::int64_t>(p + 64),
+                 .elapsed = load_le<std::uint64_t>(p + 72),
+                 .phase = load_le<std::uint64_t>(p + 80),
+                 .dx = load_le<std::int64_t>(p + 88),
+                 .dy = load_le<std::int64_t>(p + 96),
+                 .j = load_le<std::uint64_t>(p + 104)};
         const auto alpha_bits = load_le<std::uint64_t>(p + 8);
         const double alpha = std::bit_cast<double>(alpha_bits);
         // Structural sanity before the values can reach samplers or the
@@ -318,14 +335,12 @@ bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache&
         // is defense-in-depth against a validly-checksummed-but-bogus file.
         // Coordinates and each |Δ| below 2^62 keep abs64, the phase length,
         // the destination and the offsets to the target in range (a walk
-        // moves one edge per step, so no reachable node is that far out);
-        // px is compared unsigned, so a negative px fails px <= j.
+        // moves one edge per step, so no reachable node is that far out).
         constexpr std::int64_t kLimit = std::int64_t{1} << 62;
         const auto in_range = [](std::int64_t v) { return v > -kLimit && v < kLimit; };
         bool ok = std::isfinite(alpha) && alpha > 1.0 && in_range(w.x) && in_range(w.y);
         if (w.dx != 0 || w.dy != 0) {
             ok = ok && in_range(w.dx) && in_range(w.dy) && w.phase > 0 &&
-                 w.px <= abs64(w.dx) && static_cast<std::uint64_t>(w.px) <= w.j &&
                  w.j < static_cast<std::uint64_t>(abs64(w.dx) + abs64(w.dy));
         }
         if (!ok) {
@@ -360,14 +375,12 @@ walk_engine& walk_engine::local() {
     return engine;
 }
 
-best_state walk_engine::drive(point target, std::uint64_t budget) {
-    best_state best;
+void walk_engine::drive(point target, std::uint64_t budget, best_state& best) {
     while (block_.live() > 0) {
         // One epoch: every live walker advances one phase (or quantum
         // chunk), pruned by the best hit registered so far.
         block_.epoch(opts_, dists_, target, budget, best);
     }
-    return best;
 }
 
 hit_result walk_engine::run_single(double alpha, point target, std::uint64_t budget,
@@ -376,7 +389,8 @@ hit_result walk_engine::run_single(double alpha, point target, std::uint64_t bud
     dists_.reset(cap);
     block_.clear();
     block_.spawn(0, alpha, stream, dists_);
-    const best_state best = drive(target, budget);
+    best_state best;
+    drive(target, budget, best);
     return {best.hit, best.hit ? best.time : budget};
 }
 
@@ -389,8 +403,10 @@ parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy
     }
     dists_.reset(cap);
     block_.clear();
-    block_.spawn_range(0, k, strategy, trial_stream, dists_);
-    return parallel_outcome(drive(target, budget), budget, strategy, trial_stream);
+    best_state best;
+    block_.spawn_range(0, k, strategy, trial_stream, dists_, opts_, target, budget, best);
+    drive(target, budget, best);
+    return parallel_outcome(best, budget, strategy, trial_stream);
 }
 
 }  // namespace levy::sim

@@ -119,12 +119,13 @@ private:
 /// advancement shared by the in-memory batch engine (one block per trial)
 /// and the out-of-core sharded engine (one block per resident shard).
 ///
-/// A record holds only what determines a walker: id, main/path RNG streams,
+/// A record holds only what determines a walker: id, main RNG stream,
 /// exponent, position, elapsed steps, phase count, and the residue of the
-/// phase in progress (displacement, Bresenham progress); phase length,
-/// destination and candidate hit step are derived where they are read. A
-/// walker that hits, exhausts its allowance, or can no longer reach the
-/// target within it retires: the last live record overwrites it.
+/// phase in progress (displacement, steps taken). Phase length,
+/// destination, candidate hit step and the phase's tie coins are derived
+/// where they are read. A walker that hits, exhausts its allowance, or can
+/// no longer reach the target within it retires: the last live record
+/// overwrites it.
 ///
 /// A block serializes its live walkers to a flat little-endian byte layout
 /// (`kBytesPerWalker` per walker) and restores them bit-exactly, including
@@ -135,15 +136,19 @@ public:
     [[nodiscard]] std::size_t live() const noexcept { return walkers_.size(); }
 
     /// Add walker `id` with exponent `alpha`, its stream positioned after
-    /// the strategy's exponent draw (exactly where the scalar walk starts).
+    /// the strategy's exponent draw (exactly where the scalar walk starts),
+    /// not yet advanced.
     void spawn(std::size_t id, double alpha, rng stream, dist_cache& dists);
 
     /// Spawn walkers lo..hi-1 of a trial: walker i draws its exponent from
-    /// `trial_stream.substream(i)`, the same draws as scalar. Room for them
-    /// is reserved first: a record vector grown by doubling holds its old
-    /// and new buffers at once.
+    /// `trial_stream.substream(i)`, the same draws as scalar. Spawning is a
+    /// walker's first visit: each new walker advances once, as in epoch(),
+    /// and is stored only if it survives. Room for hi − lo is reserved
+    /// first: a record vector grown by doubling holds its old and new
+    /// buffers at once.
     void spawn_range(std::size_t lo, std::size_t hi, const exponent_strategy& strategy,
-                     const rng& trial_stream, dist_cache& dists);
+                     const rng& trial_stream, dist_cache& dists, const engine_options& opts,
+                     point target, std::uint64_t allowance_cap, best_state& best);
 
     /// One epoch: every live walker advances one phase (or `opts.epoch_steps`
     /// chunk), bounded by the lex-min of `allowance_cap` and `best`'s own
@@ -157,7 +162,7 @@ public:
                         std::uint64_t allowance_cap, best_state& best);
 
     /// Serialized bytes per walker (see the .cpp layout table).
-    static constexpr std::size_t kBytesPerWalker = 20 * 8;
+    static constexpr std::size_t kBytesPerWalker = 14 * 8;
 
     /// Append the live walkers' serialized records to `out`.
     void serialize(const dist_cache& dists, std::vector<char>& out) const;
@@ -173,7 +178,6 @@ private:
     struct walker {
         std::size_t id = 0;         // original walker index (lex-min key)
         rng main;                   // phase-level stream
-        rng path;                   // current phase's tie-coin substream
         std::uint32_t dist_ix = 0;  // index into the run's dist_cache
         std::int64_t x = 0, y = 0;  // position at current phase start
         std::uint64_t elapsed = 0;  // steps consumed so far
@@ -181,17 +185,13 @@ private:
         // Residue of the phase in progress (dx == dy == 0 between phases):
         std::int64_t dx = 0, dy = 0;  // displacement to the phase destination
         std::uint64_t j = 0;          // steps taken within the phase
-        std::int64_t px = 0;          // Bresenham x-progress (replay only)
     };
 
-    /// Advance `w`, whose elapsed steps are below `allowance`, by one phase
-    /// (or quantum chunk); may register a hit in `best`. Returns true when
-    /// the walker must retire.
+    /// One visit to `w`: advance it by one phase (or quantum chunk) within
+    /// its allowance, the lex-min of `allowance_cap` and `best`'s time; may
+    /// register a hit in `best`. Returns true when the walker must retire.
     static bool advance_one(walker& w, const engine_options& opts, const dist_cache& dists,
-                            std::uint64_t allowance, point target, best_state& best);
-    /// Replay `w`'s path up to step `to`, tie coins from its path stream;
-    /// `adx`, `ady` are |dx|, |dy|. Its y-progress is j − px throughout.
-    static void replay(walker& w, std::int64_t adx, std::int64_t ady, std::uint64_t to);
+                            point target, std::uint64_t allowance_cap, best_state& best);
 
     std::vector<walker> walkers_;  // the live walkers, densely packed
 };
@@ -228,23 +228,30 @@ private:
 /// destination), and then only at the single step i* = ‖target − start‖₁.
 /// Phases whose box misses the target are skipped whole in O(1) — no
 /// stepping, no tie coins (the per-phase path substream makes the skip
-/// RNG-exact); candidate phases replay tie coins only up to i*. Combined
-/// with the O(1) alias-table jump sampler for capped runs (see
-/// `jump_distribution`'s capped constructor) this removes the per-step
-/// costs that dominate the scalar loop on long-jump (small α) workloads.
+/// RNG-exact). A candidate phase replays its tie coins once, from the phase
+/// start up to i*, on the visit whose steps reach i*: the coins are a pure
+/// function of (walker seed, phase), so a record stores no coin state and
+/// a candidate suspended before i* costs nothing. Combined with the O(1)
+/// alias-table jump sampler for capped runs (see `jump_distribution`'s
+/// capped constructor) this removes the per-step costs that dominate the
+/// scalar loop on long-jump (small α) workloads.
 ///
 /// A walk also moves at most one lattice edge per step, so a walker that
 /// has used e steps and stands D = ‖target − x‖₁ away cannot hit before
-/// step e + D. At each phase start, before any draw, a walker retires when
-/// e + D exceeds its allowance (the budget, or the best time registered so
-/// far): the *reach bound*. It is exact because such a walker could only
-/// register a time the lex-min discards, and its streams are its own. It
-/// is strict because a walker that can still tie the best time may win on
-/// the smaller id. It sits at phase start because there the stored
-/// position is the walker's node and retiring saves the phase's draws;
-/// mid-phase, a skipped phase keeps no node to measure from. Once a hit is
-/// known the bound retires almost every walker not heading straight for
-/// the target.
+/// step e + D. At each phase start, before any draw, and again when a
+/// phase completes within the allowance, a walker retires when e + D
+/// exceeds its allowance (the budget, or the best time registered so far):
+/// the *reach bound*. It is exact because such a walker could only
+/// register a time the lex-min discards, the allowance only shrinks, and
+/// its streams are its own. It is strict because a walker that can still
+/// tie the best time may win on the smaller id. It sits at phase
+/// boundaries because there the stored position is the walker's node;
+/// mid-phase, a skipped phase keeps no node to measure from. The check at
+/// phase end drops a walker's record in the visit that carried it out of
+/// reach, and spawning is a walker's first visit, so a walker whose first
+/// phase leaves it out of reach is never stored at all.
+/// Once a hit is known the bound retires almost every walker not heading
+/// straight for the target.
 ///
 /// For walker counts past RAM, see sim/shard_engine: the out-of-core
 /// sharded mode partitions the same walker state into spillable blocks and
@@ -274,8 +281,8 @@ public:
     [[nodiscard]] static walk_engine& local();
 
 private:
-    /// Run all spawned walkers to retirement; returns the lex-min best.
-    [[nodiscard]] best_state drive(point target, std::uint64_t budget);
+    /// Run all spawned walkers to retirement, registering hits in `best`.
+    void drive(point target, std::uint64_t budget, best_state& best);
 
     engine_options opts_{};
     dist_cache dists_;

@@ -11,9 +11,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "src/core/strategy.h"
 #include "src/grid/point.h"
 #include "src/rng/rng_stream.h"
+#include "src/rng/splitmix64.h"
+#include "src/sim/checkpoint.h"
 #include "src/sim/fault.h"
 #include "src/sim/shard_engine.h"
 #include "src/sim/trial.h"
@@ -314,12 +318,10 @@ struct walker_record {
     std::uint64_t id = 0;
     std::uint64_t alpha_bits = 0;
     rng::state main;
-    rng::state path;
     std::int64_t x = 0, y = 0;
     std::uint64_t elapsed = 0, phase = 0;
     std::int64_t dx = 0, dy = 0;
     std::uint64_t j = 0;
-    std::int64_t px = 0;
 };
 
 void put_word(std::vector<char>& out, std::uint64_t v) {
@@ -332,22 +334,21 @@ std::uint64_t get_word(const char* p) {
     return v;
 }
 
+void put_rng(std::vector<char>& out, const rng::state& st) {
+    put_word(out, st.seed);
+    for (const std::uint64_t w : st.engine) put_word(out, w);
+}
+
 std::vector<char> encode_records(const std::vector<walker_record>& records) {
     std::vector<char> out;
-    const auto put_rng = [&out](const rng::state& st) {
-        put_word(out, st.seed);
-        for (const std::uint64_t w : st.engine) put_word(out, w);
-    };
     for (const walker_record& r : records) {
         put_word(out, r.id);
         put_word(out, r.alpha_bits);
-        put_rng(r.main);
-        put_rng(r.path);
+        put_rng(out, r.main);
         for (const std::int64_t v : {r.x, r.y}) put_word(out, static_cast<std::uint64_t>(v));
         for (const std::uint64_t v : {r.elapsed, r.phase}) put_word(out, v);
         for (const std::int64_t v : {r.dx, r.dy}) put_word(out, static_cast<std::uint64_t>(v));
         put_word(out, r.j);
-        put_word(out, static_cast<std::uint64_t>(r.px));
     }
     return out;
 }
@@ -361,30 +362,24 @@ walker_record decode_record(const char* p) {
     r.id = word(0);
     r.alpha_bits = word(1);
     r.main.seed = word(2);
-    r.path.seed = word(7);
-    for (std::size_t i = 0; i < 4; ++i) {
-        r.main.engine[i] = word(3 + i);
-        r.path.engine[i] = word(8 + i);
-    }
-    r.x = sword(12);
-    r.y = sword(13);
-    r.elapsed = word(14);
-    r.phase = word(15);
-    r.dx = sword(16);
-    r.dy = sword(17);
-    r.j = word(18);
-    r.px = sword(19);
+    for (std::size_t i = 0; i < 4; ++i) r.main.engine[i] = word(3 + i);
+    r.x = sword(7);
+    r.y = sword(8);
+    r.elapsed = word(9);
+    r.phase = word(10);
+    r.dx = sword(11);
+    r.dy = sword(12);
+    r.j = word(13);
     return r;
 }
 
 TEST(WalkerBlockSerialize, RejectsStructurallyInvalidRecords) {
     // A mid-phase record, valid by construction: a (5, -3) phase, 3 steps
-    // in, 2 of them along x.
+    // in.
     const rng stream = rng::seeded(11).substream(0);
     walker_record good;
     good.alpha_bits = std::bit_cast<std::uint64_t>(2.5);
     good.main = stream.save();
-    good.path = stream.substream(2).save();
     good.x = 4;
     good.y = -1;
     good.elapsed = 9;
@@ -392,7 +387,6 @@ TEST(WalkerBlockSerialize, RejectsStructurallyInvalidRecords) {
     good.dx = 5;
     good.dy = -3;
     good.j = 3;
-    good.px = 2;
 
     const auto restores = [](const walker_record& r) {
         const std::vector<char> bytes = encode_records({r});
@@ -413,6 +407,9 @@ TEST(WalkerBlockSerialize, RejectsStructurallyInvalidRecords) {
     // Each case breaks exactly one clause.
     EXPECT_FALSE(restores(with([](walker_record& r) { r.alpha_bits = 0; })))
         << "alpha bits 0: alpha must exceed 1";
+    EXPECT_FALSE(restores(with([](walker_record& r) {
+        r.alpha_bits = std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());
+    }))) << "alpha must be finite";
     EXPECT_FALSE(restores(with([](walker_record& r) { r.x = INT64_MIN + 1; })))
         << "|x| must stay below 2^62";
     EXPECT_FALSE(restores(with([](walker_record& r) { r.dx = INT64_MIN; })))
@@ -421,12 +418,6 @@ TEST(WalkerBlockSerialize, RejectsStructurallyInvalidRecords) {
         << "|dy| must stay below 2^62";
     EXPECT_FALSE(restores(with([](walker_record& r) { r.phase = 0; })))
         << "a phase in progress has phase > 0";
-    EXPECT_FALSE(restores(with([](walker_record& r) {
-        r.px = 6;
-        r.j = 7;
-    }))) << "px > |dx|";
-    EXPECT_FALSE(restores(with([](walker_record& r) { r.px = -1; }))) << "px < 0";
-    EXPECT_FALSE(restores(with([](walker_record& r) { r.j = 1; }))) << "px > j";
     EXPECT_FALSE(restores(with([](walker_record& r) { r.j = 8; }))) << "j >= |dx| + |dy|";
     EXPECT_FALSE(restores(with([](walker_record& r) {
         r.dx = r.dy = 0;
@@ -434,24 +425,22 @@ TEST(WalkerBlockSerialize, RejectsStructurallyInvalidRecords) {
     }))) << "|y| must stay below 2^62 between phases too";
 
     // Between phases (dx = dy = 0) the residue is never read, so it is not
-    // checked. Nor is y-progress bounded: a walker whose candidate step is
-    // behind it skips steps without replaying them, so j - px may pass |dy|.
+    // checked. Mid-phase, any step before the last is a valid place to
+    // stop: the phase's tie coins are re-derived from the main stream's
+    // seed and the phase count, so no coin state has to agree with j.
     EXPECT_TRUE(restores(with([](walker_record& r) {
         r.dx = r.dy = 0;
         r.phase = 0;
         r.j = 99;
     })));
-    EXPECT_TRUE(restores(with([](walker_record& r) {
-        r.px = 0;
-        r.j = 7;
-    })));
+    EXPECT_TRUE(restores(with([](walker_record& r) { r.j = 7; })));
 }
 
 TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
     const rng trial = rng::seeded(20211);
     const exponent_strategy strategy = uniform_exponent(1.5, 2.5);
     // Close and off-diagonal: some phases carry a candidate step through a
-    // lopsided bounding box, where x and y replay progress differ.
+    // lopsided bounding box.
     const point target{4, -1};
     dist_cache dists;
     dists.reset(kNoCap);
@@ -465,7 +454,6 @@ TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
         r.id = i;
         r.alpha_bits = std::bit_cast<std::uint64_t>(alpha);
         r.main = stream.save();
-        r.path = stream.substream(0).save();
         spawned.push_back(r);
     }
     std::vector<char> bytes;
@@ -502,23 +490,18 @@ TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
             const std::int64_t ady = std::abs(r.dy);
             const auto t = adx + ady;  // the phase length
             const auto j = static_cast<std::int64_t>(r.j);
-            EXPECT_EQ(r.path.seed, rng::seeded(r.main.seed).substream(r.phase).seed());
             EXPECT_TRUE(j >= 1 && j < t) << "walker " << r.id;
             if (r.phase == 1) {
                 EXPECT_EQ(r.j, kEpochs) << "walker " << r.id;
             }
-            EXPECT_TRUE(r.px >= 0 && r.px <= adx && r.px <= j) << "walker " << r.id;
-            // The candidate step i* and its x-progress, derived from the
-            // target and the phase start as the engine derives them.
+            // The candidate step i*, derived from the target and the phase
+            // start as the engine derives it. A walker suspended before it
+            // stores nothing more than any other: its tie coins are drawn
+            // from the phase start once a visit reaches i*.
             const std::int64_t tdx = r.dx < 0 ? r.x - target.x : target.x - r.x;
             const std::int64_t tdy = r.dy < 0 ? r.y - target.y : target.y - r.y;
             if (tdx >= 0 && tdx <= adx && tdy >= 0 && tdy <= ady && j < tdx + tdy) {
-                // A pending candidate replays every step: x and y progress
-                // (y being j - px) each stay within one step of the
-                // straight line.
                 ++candidates;
-                EXPECT_LT(std::abs(t * r.px - j * adx), t) << "walker " << r.id;
-                EXPECT_LT(std::abs(t * (j - r.px) - j * ady), t) << "walker " << r.id;
             }
         }
         records.push_back(r);
@@ -528,23 +511,139 @@ TEST(WalkerBlockSerialize, SpillLayoutMatchesPerFieldEncoder) {
     EXPECT_EQ(bytes, encode_records(records));
 }
 
+/// --- the version clause of the run identity -------------------------------
+///
+/// A spill file belongs to a run when its first eleven header words match:
+/// magic, version, shard index and count, trial seed, k, cap, budget,
+/// target, and the strategy fingerprint (a mix64 chain over the exponents
+/// of the first 16 walkers). This test writes whole files itself, so one it
+/// plants differs from the engine's own only where the test makes it.
+
+std::uint64_t strategy_fingerprint(std::size_t k, const exponent_strategy& strategy,
+                                   const rng& trial) {
+    std::uint64_t fp = 0x5348415244ULL;
+    for (std::size_t i = 0; i < std::min<std::size_t>(k, 16); ++i) {
+        rng stream = trial.substream(i);
+        fp = mix64(fp ^ std::bit_cast<std::uint64_t>(strategy(i, stream)), i + 1);
+    }
+    return fp;
+}
+
+TEST_F(ShardEngineTest, SpillOfAnotherVersionRecomputesItsShard) {
+    const std::size_t k = 8;
+    const exponent_strategy strategy = fixed_exponent(2.6);
+    const point target{4, 4};
+    const std::uint64_t budget = 300;
+    const rng stream = rng::seeded(515);
+    shard_options opts = with_spill_dir({});
+    opts.shards = 2;  // shard 0 holds walkers 0..3
+    opts.sync_rounds = 0;
+    walk_engine reference;
+    const parallel_result base =
+        reference.run_parallel(k, strategy, target, budget, stream, kNoCap);
+    ASSERT_TRUE(base.hit);
+
+    // Shard 0's walkers as spawned, not yet advanced: the current layout,
+    // and version 2's 20 words (a path stream after main, x-progress last;
+    // version 2 spawned with substream(0) as the path placeholder).
+    std::vector<walker_record> fresh;
+    std::vector<char> v2_body;
+    for (std::size_t i = 0; i < 4; ++i) {
+        rng walker = stream.substream(i);
+        walker_record r;
+        r.id = i;
+        r.alpha_bits = std::bit_cast<std::uint64_t>(strategy(i, walker));
+        r.main = walker.save();
+        fresh.push_back(r);
+        put_word(v2_body, r.id);
+        put_word(v2_body, r.alpha_bits);
+        put_rng(v2_body, r.main);
+        put_rng(v2_body, walker.substream(0).save());
+        for (int field = 0; field < 7; ++field) put_word(v2_body, 0);  // x .. j
+        put_word(v2_body, 0);                                           // px
+    }
+    ASSERT_EQ(v2_body.size(), 4 * 20 * 8u);
+
+    const auto plant = [&](std::uint64_t version, std::uint64_t live,
+                           const std::vector<char>& body, const best_state& local) {
+        std::vector<char> file;
+        for (const std::uint64_t word :
+             {std::uint64_t{0x4c56595348415244ULL}, version, std::uint64_t{0},
+              std::uint64_t{2}, stream.seed(), std::uint64_t{k}, kNoCap, budget,
+              static_cast<std::uint64_t>(target.x), static_cast<std::uint64_t>(target.y),
+              strategy_fingerprint(k, strategy, stream), live, std::uint64_t{0},
+              std::uint64_t{local.hit}, local.time, std::uint64_t{local.winner}}) {
+            put_word(file, word);
+        }
+        const auto put_crc = [&file](const char* data, std::size_t len) {
+            const std::uint32_t crc = crc32(data, len);
+            for (int b = 0; b < 4; ++b) file.push_back(static_cast<char>((crc >> (8 * b)) & 0xff));
+        };
+        put_crc(file.data(), 128);
+        file.insert(file.end(), body.begin(), body.end());
+        put_crc(file.data() + 132, body.size());
+        char name[64];
+        std::snprintf(name, sizeof(name), "shard-%016llx-0of2.lvyshard",
+                      static_cast<unsigned long long>(stream.seed()));
+        std::ofstream(dir_ / name, std::ios::binary).write(file.data(),
+                                                           static_cast<std::streamsize>(file.size()));
+    };
+    sharded_walk_engine engine;
+    const auto run = [&] {
+        return engine.run_parallel(k, strategy, target, budget, stream, kNoCap, opts);
+    };
+    const auto expect_base = [&base](const parallel_result& r) {
+        EXPECT_EQ(base.hit, r.hit);
+        EXPECT_EQ(base.time, r.time);
+        EXPECT_EQ(base.winner, r.winner);
+        EXPECT_EQ(base.winner_alpha, r.winner_alpha);
+    };
+    // A best no walker scores: a finished shard's record that claims it
+    // would make the run report it.
+    const best_state bogus{.hit = true, .time = 1, .winner = 0};
+
+    // Controls: in the current version both files are shard 0's own. The
+    // spawned walkers resume and finish as the engine's would; the finished
+    // record is trusted, bogus best and all.
+    plant(3, 4, encode_records(fresh), {});
+    expect_base(run());
+    EXPECT_EQ(engine.last_stats().resumed, 1u);
+    EXPECT_EQ(engine.last_stats().recomputed, 0u);
+    plant(3, 0, {}, bogus);
+    EXPECT_EQ(run().time, 1u);
+    EXPECT_EQ(engine.last_stats().resumed, 1u);
+
+    // The same files at version 2: shard 0 recomputes, and neither is read.
+    // A finished record has no body, so only the version tells it apart.
+    plant(2, 4, v2_body, {});
+    expect_base(run());
+    EXPECT_EQ(engine.last_stats().recomputed, 1u);
+    EXPECT_EQ(engine.last_stats().resumed, 0u);
+    plant(2, 0, {}, bogus);
+    expect_base(run());
+    EXPECT_EQ(engine.last_stats().recomputed, 1u);
+    EXPECT_EQ(engine.last_stats().resumed, 0u);
+}
+
 /// --- spill-file corruption property tests --------------------------------
 ///
 /// Configuration chosen so the fault ordinal and file size are exact:
-/// k = 4 walkers in 4 single-walker shards under a 300-byte budget means
+/// k = 4 walkers in 4 single-walker shards under a 200-byte budget means
 /// only one shard stays resident, so shard 0 is evicted (spill ordinal 1)
 /// while shard 1 advances in round 1, and reloaded at the top of round 2.
-/// A single-walker spill file is 132 (header) + 160 (record) + 4 (body crc)
-/// = 296 bytes; the tests sweep every one of those byte offsets. No walker
+/// A single-walker spill file is 132 (header) + 112 (record) + 4 (body crc)
+/// = 248 bytes; the tests sweep every one of those byte offsets. No walker
 /// of this seed reaches the target within the tiny budget, so every trial
-/// is an all-miss (parity also covers the NaN winner_alpha path); the target
-/// is still within reach (‖target‖₁ = budget), so the reach bound retires no
-/// walker at its first phase, and the quantum-1 epochs keep shard 0 alive
-/// into round 2, where the corrupt file must be detected.
+/// is an all-miss (parity also covers the NaN winner_alpha path). Walker 0
+/// steps to (−1, 0) and then stays put, so the target is still within reach
+/// after round 1's two steps (3 steps away, 3 of a 5-step budget left): the
+/// reach bound, strict at every phase boundary, keeps it, and the quantum-1
+/// epochs carry shard 0 into round 2, where the corrupt file must be
+/// detected.
 struct corruption_config {
     std::size_t k = 4;
     point target{2, 0};
-    std::uint64_t budget = 2;
+    std::uint64_t budget = 5;
     std::uint64_t cap = 8;
     rng stream = rng::seeded(60321);
 };
@@ -554,7 +653,7 @@ constexpr std::size_t kOneWalkerSpillBytes = 132 + walker_block::kBytesPerWalker
 shard_options corruption_options(const std::string& dir) {
     shard_options opts;
     opts.shards = 4;
-    opts.memory_budget = 300;  // one resident walker (160 B) at a time
+    opts.memory_budget = 200;  // one resident walker (112 B) at a time
     opts.epoch_steps = 1;
     opts.spill_dir = dir;
     return opts;

@@ -173,6 +173,58 @@ TEST(WalkEngineParallel, ParityAtTheTieBoundary) {
     }
 }
 
+TEST(WalkerBlockSpawn, SpawnUnderAKnownHitStoresOnlySurvivors) {
+    // Spawning is a walker's first visit. Under a best that already holds a
+    // hit, a walker whose first phase carries it out of reach of that time
+    // is never stored — and the block still drives to the lex-min that a
+    // spawn with no hit known reaches, which is scalar parallel_hit's. The
+    // upper half of the walkers finds the first hit; the lower half then
+    // beats it. With seed 6 a smaller id ties its time 4 (= ℓ, so only
+    // walkers stepping straight at the target are kept); with seed 7 a
+    // walker beats its time 5 outright.
+    const std::size_t k = 256;
+    const exponent_strategy strategy = fixed_exponent(2.0);
+    const point target = target_at(4);
+    const std::uint64_t budget = 400;
+    const engine_options opts{};
+    for (const std::uint64_t seed : {6, 7}) {
+        const rng stream = rng::seeded(seed);
+        const parallel_result scalar = parallel_hit(k, strategy, target, budget, stream);
+        ASSERT_TRUE(scalar.hit);
+        ASSERT_LT(scalar.winner, k / 2) << "seed=" << seed;
+
+        dist_cache dists;
+        dists.reset(kNoCap);
+        const auto drive = [&](walker_block& block, best_state& best) {
+            while (block.live() > 0) block.epoch(opts, dists, target, budget, best);
+        };
+        walker_block upper;
+        best_state known;
+        upper.spawn_range(k / 2, k, strategy, stream, dists, opts, target, budget, known);
+        drive(upper, known);
+        ASSERT_TRUE(known.hit);
+
+        // The lower half, spawned under that hit and under none.
+        walker_block pruned;
+        best_state with_hit = known;
+        pruned.spawn_range(0, k / 2, strategy, stream, dists, opts, target, budget, with_hit);
+        walker_block unpruned;
+        best_state without_hit;
+        unpruned.spawn_range(0, k / 2, strategy, stream, dists, opts, target, budget,
+                             without_hit);
+        EXPECT_LT(pruned.live(), k / 2) << "seed=" << seed;
+        EXPECT_LT(pruned.live(), unpruned.live()) << "seed=" << seed;
+
+        drive(pruned, with_hit);
+        drive(unpruned, without_hit);
+        without_hit.merge(known);
+        EXPECT_EQ(with_hit.time, without_hit.time) << "seed=" << seed;
+        EXPECT_EQ(with_hit.winner, without_hit.winner) << "seed=" << seed;
+        EXPECT_EQ(with_hit.time, scalar.time) << "seed=" << seed;
+        EXPECT_EQ(with_hit.winner, scalar.winner) << "seed=" << seed;
+    }
+}
+
 TEST(WalkEngineParallel, ResultsInvariantUnderEpochQuantum) {
     // Retirement/compaction order varies wildly with the epoch quantum
     // (quantum 1 suspends every walker each step; large quanta run whole
