@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -69,25 +68,11 @@ public:
 
     [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-    /// Full serializable state: the stream identity (`seed`, which keys
-    /// substream derivation) plus the 256-bit engine position. `restore`
-    /// round-trips bit-exactly, so a stream can be suspended mid-draw and
-    /// resumed elsewhere — the out-of-core shard spill format relies on it.
-    struct state {
-        std::uint64_t seed = 0;
-        std::array<std::uint64_t, 4> engine{};
-    };
-
-    [[nodiscard]] state save() const noexcept { return {seed_, engine_.state()}; }
-
-    [[nodiscard]] static rng restore(const state& s) noexcept { return rng(s); }
-
     static constexpr std::uint64_t min() noexcept { return 0; }
     static constexpr std::uint64_t max() noexcept { return ~0ULL; }
 
 private:
     explicit rng(std::uint64_t seed) noexcept : seed_(seed), engine_(seed) {}
-    explicit rng(const state& s) noexcept : seed_(s.seed), engine_(s.engine) {}
 
     std::uint64_t seed_;
     xoshiro256pp engine_;

@@ -25,7 +25,11 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x4c56594a4f55524eULL;  // "LVYJOURN" big-endian bytes
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 4;  // ..., trailing header CRC
+/// Header bytes for `key`: magic, version, payload size, seed, trials, the
+/// context words, and the trailing header CRC.
+std::size_t header_bytes(const journal_key& key) noexcept {
+    return 8 + 4 + 4 + 8 + 8 + 8 * key.context.size() + 4;
+}
 
 /// Slicing-by-8 tables: kCrc[0] is the bytewise CRC-32 table, and
 /// kCrc[s][i] is the CRC of byte i followed by s zero bytes, so one step can
@@ -126,26 +130,29 @@ journal_contents load_journal(const std::string& path, const journal_key& key) {
     std::vector<char> bytes;
     if (!read_file(path, bytes)) return out;  // no journal yet: clean fresh start
 
-    if (bytes.size() < kHeaderBytes) {
-        out.dropped_tail = !bytes.empty();
+    const std::size_t header = header_bytes(key);
+    if (bytes.size() < header) {
+        out.dropped_tail = true;  // cut short of a header: recompute all
         return out;
     }
     const char* p = bytes.data();
     if (load_le<std::uint64_t>(p) != kMagic || load_le<std::uint32_t>(p + 8) != kVersion ||
-        crc32(p, kHeaderBytes - 4) != load_le<std::uint32_t>(p + kHeaderBytes - 4)) {
+        crc32(p, header - 4) != load_le<std::uint32_t>(p + header - 4)) {
         out.dropped_tail = true;  // unrecognizable or rotted header: recompute all
         return out;
     }
     const auto payload_size = load_le<std::uint32_t>(p + 12);
     const auto seed = load_le<std::uint64_t>(p + 16);
     const auto trials = load_le<std::uint64_t>(p + 24);
-    if (payload_size != key.payload_size || seed != key.seed || trials != key.trials) {
-        return out;  // journal of a different run: ignore it wholesale
+    bool same_run = payload_size == key.payload_size && seed == key.seed && trials == key.trials;
+    for (std::size_t i = 0; i < key.context.size(); ++i) {
+        same_run = same_run && load_le<std::uint64_t>(p + 32 + 8 * i) == key.context[i];
     }
+    if (!same_run) return out;  // journal of a different run: ignore it wholesale
     out.matched = true;
 
     const std::size_t record_bytes = 8 + static_cast<std::size_t>(payload_size) + 4;
-    std::size_t off = kHeaderBytes;
+    std::size_t off = header;
     std::uint64_t prev_index = 0;
     bool first = true;
     while (off + record_bytes <= bytes.size()) {
@@ -189,12 +196,24 @@ trial_journal::~trial_journal() {
     }
 }
 
-std::vector<std::size_t> trial_journal::restore(void* results_base) {
+journal_contents trial_journal::reload() {
     journal_contents loaded = load_journal(path_, key_);
-    std::vector<std::size_t> missing;
     std::lock_guard lk(m_);
     dropped_tail_ = loaded.dropped_tail;
-    records_ = std::move(loaded.records);
+    records_ = loaded.records;
+    return loaded;
+}
+
+void trial_journal::remove() noexcept {
+    std::lock_guard lk(m_);
+    dead_ = true;
+    std::remove(path_.c_str());
+}
+
+std::vector<std::size_t> trial_journal::restore(void* results_base) {
+    (void)reload();
+    std::vector<std::size_t> missing;
+    std::lock_guard lk(m_);
     auto* base = static_cast<char*>(results_base);
     for (const auto& [index, payload] : records_) {
         std::copy(payload.begin(), payload.end(),
@@ -238,14 +257,26 @@ std::size_t trial_journal::completed() const {
     return records_.size();
 }
 
+std::size_t trial_journal::flushes() const {
+    std::lock_guard lk(m_);
+    return flush_ordinal_;
+}
+
+std::uint64_t trial_journal::flushed_bytes() const {
+    std::lock_guard lk(m_);
+    return flushed_bytes_;
+}
+
 void trial_journal::flush_locked() {
-    std::vector<char> bytes(kHeaderBytes + records_.size() * (12 + key_.payload_size));
+    const std::size_t header = header_bytes(key_);
+    std::vector<char> bytes(header + records_.size() * (12 + key_.payload_size));
     char* p = store_le(bytes.data(), kMagic);
     p = store_le(p, kVersion);
     p = store_le(p, key_.payload_size);
     p = store_le(p, key_.seed);
     p = store_le(p, key_.trials);
-    p = store_le(p, crc32(bytes.data(), kHeaderBytes - 4));
+    for (const std::uint64_t word : key_.context) p = store_le(p, word);
+    p = store_le(p, crc32(bytes.data(), header - 4));
     for (const auto& [index, payload] : records_) {
         char* const rec = p;
         p = std::copy(payload.begin(), payload.end(), store_le(p, index));
@@ -263,6 +294,7 @@ void trial_journal::flush_locked() {
         obs::get_histogram("checkpoint.flush_ns", {});  // log2 nanosecond buckets
     const auto flush_start = std::chrono::steady_clock::now();
     atomic_write_file(path_, bytes);
+    flushed_bytes_ += bytes.size();
     flushes.add();
     flushed_bytes.add(bytes.size());
     flush_ns.observe_u64(static_cast<std::uint64_t>(

@@ -11,9 +11,10 @@
 namespace levy::sim {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `len` bytes. Used to
-/// checksum every journal header and record — and every shard spill and
-/// cache file — so torn or bit-rotted files are detected at load instead of
-/// silently corrupting tables. Slicing-by-8: eight bytes per table step, the
+/// checksum every journal header and record — the Monte-Carlo journal and
+/// the out-of-core block journal — and the cache file, so torn or
+/// bit-rotted files are detected at load instead of silently corrupting
+/// tables. Slicing-by-8: eight bytes per table step, the
 /// same values as the bytewise definition.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len) noexcept;
 
@@ -37,14 +38,18 @@ void durable_rename(const std::string& tmp, const std::string& path);
 /// or read in full; `out`'s content is then unspecified.
 [[nodiscard]] bool read_file(const std::string& path, std::vector<char>& out);
 
-/// Identity of a Monte-Carlo run for resume purposes. A journal written
+/// Identity of a journaled run for resume purposes. A journal written
 /// under one key is ignored (and later overwritten) by a run with any other
-/// key: resuming is only exact because every trial's RNG stream is a pure
-/// function of (seed, trial index), so all three fields must match.
+/// key: resuming is only exact because every record is a pure function of
+/// the run's identity and its index, so every field must match.
 struct journal_key {
     std::uint64_t seed = 0;
-    std::uint64_t trials = 0;
-    std::uint32_t payload_size = 0;  ///< sizeof the per-trial result type
+    std::uint64_t trials = 0;        ///< records the run can hold
+    std::uint32_t payload_size = 0;  ///< bytes per record payload
+    /// Further identity words, stored in the header after `trials` and
+    /// compared like the fields above. A Monte-Carlo journal has none; the
+    /// out-of-core block journal (sim/shard_engine.h) stores its run's.
+    std::vector<std::uint64_t> context = {};
 };
 
 /// What `load_journal` recovered from disk.
@@ -62,8 +67,9 @@ struct journal_contents {
 /// Parse the journal at `path` against `key`. Never throws on corrupt
 /// input: a missing file, foreign magic, bad header CRC, or key mismatch
 /// yields `matched == false` and no records; a corrupt record drops itself
-/// and everything after it (`dropped_tail == true`). Exposed separately
-/// from trial_journal so tests can probe recovery byte by byte.
+/// and everything after it (`dropped_tail == true`, as for a file cut short
+/// of its header or with a rotted one). Exposed separately from
+/// trial_journal so tests can probe recovery byte by byte.
 [[nodiscard]] journal_contents load_journal(const std::string& path, const journal_key& key);
 
 /// Append-only journal of completed trial results, persisted crash-safely.
@@ -71,7 +77,8 @@ struct journal_contents {
 /// The on-disk format (version 1, all integers little-endian):
 ///
 ///     header  : magic u64 "LVYJOURN" | version u32 | payload_size u32
-///             | seed u64 | trials u64 | crc32(previous 32 bytes) u32
+///             | seed u64 | trials u64 | context u64 × |key.context|
+///             | crc32(everything before it) u32
 ///     record* : trial_index u64 | payload bytes | crc32(index|payload) u32
 ///
 /// Records are kept sorted by trial index and the whole file is rewritten
@@ -98,6 +105,14 @@ public:
     /// indices that still need to run.
     [[nodiscard]] std::vector<std::size_t> restore(void* results_base);
 
+    /// Load the journal from disk and keep its records, so later flushes
+    /// carry them on; returns what was recovered (restore without the copy).
+    [[nodiscard]] journal_contents reload();
+
+    /// The run completed: delete the journal file and write nothing more,
+    /// not even the destructor's final flush. Throws nothing.
+    void remove() noexcept;
+
     /// Journal trial `index` (payload is `payload_size` bytes). Flushes per
     /// the configured intervals. A journal whose injected write fault fired
     /// (see fault.h) goes silently dead, like a real torn disk.
@@ -108,6 +123,10 @@ public:
 
     /// Records currently held (restored + recorded).
     [[nodiscard]] std::size_t completed() const;
+
+    /// Flushes made so far, and the bytes they wrote.
+    [[nodiscard]] std::size_t flushes() const;
+    [[nodiscard]] std::uint64_t flushed_bytes() const;
 
     /// True when restore() found and dropped a corrupt tail.
     [[nodiscard]] bool recovered_from_corruption() const noexcept { return dropped_tail_; }
@@ -124,8 +143,9 @@ private:
     std::map<std::uint64_t, std::vector<char>> records_;
     std::size_t unflushed_ = 0;
     std::size_t flush_ordinal_ = 0;
+    std::uint64_t flushed_bytes_ = 0;
     bool dirty_ = false;
-    bool dead_ = false;  ///< injected write fault: stop journaling, keep running
+    bool dead_ = false;  ///< injected write fault or remove(): write nothing more
     bool dropped_tail_ = false;
     std::chrono::steady_clock::time_point last_flush_;
 };

@@ -55,19 +55,24 @@ namespace levy::sim {
 ///                           engine's shared distribution cache pays most
 ///                           (the scalar path rebuilds an O(C) table per
 ///                           walker per trial)
-///   --shards=S              out-of-core mode (batch engine only): partition
-///                           each parallel trial's walkers into S id-block
-///                           shards advanced epoch-by-epoch, idle shards
-///                           spilled to disk; results stay bit-identical to
-///                           the in-memory engine (S <= 1 and no
-///                           --memory-budget = in-memory)
-///   --memory-budget=B       resident walker-state cap in bytes (suffixes
-///                           K/M/G/T = binary multiples); implies sharded
-///                           mode and raises the shard count until one
-///                           shard fits; 0 = unlimited
-///   --spill-dir=DIR         where sharded trials spill/resume their shard
-///                           files (default: a per-process temp directory —
-///                           crash resume across runs needs a stable DIR)
+///   --shards=S              out-of-core mode (batch engine only): run each
+///                           parallel trial as S walker-id blocks, one
+///                           resident at a time, each driven to the end
+///                           before the next; results stay bit-identical to
+///                           the in-memory run (S <= 1 and no
+///                           --memory-budget = one block, in memory)
+///   --memory-budget=B       resident walker-record cap in bytes (suffixes
+///                           K/M/G/T = binary multiples); raises the block
+///                           count until one block fits; 0 = unlimited
+///   --spill-dir=DIR         where out-of-core trials keep their block
+///                           journal, to resume a killed run from (default:
+///                           none — nothing is written)
+///   --sync-rounds=R         finished blocks per journal flush (default 1:
+///                           a kill -9 loses at most the block in progress;
+///                           0 = no journal)
+///   --epoch-steps=N         steps a walker advances per epoch inside a
+///                           block (default 0 = whole phases); results are
+///                           invariant under it
 /// Unknown arguments, malformed/empty values, and duplicated flags all
 /// throw, so typos fail loudly.
 struct run_options {
@@ -91,12 +96,12 @@ struct run_options {
     std::size_t queue_capacity = 0;           ///< --queue-capacity (0 = unset)
     std::size_t shards = 0;                   ///< --shards (<= 1 = in-memory)
     std::uint64_t memory_budget = 0;          ///< --memory-budget bytes (0 = unlimited)
-    std::string spill_dir;                    ///< --spill-dir (empty = temp dir)
-    std::size_t sync_rounds = 1;              ///< --sync-rounds (0 = spill only on evict)
-    std::uint64_t epoch_steps = 0;            ///< --epoch-steps (0 = budget/8 default)
+    std::string spill_dir;                    ///< --spill-dir (empty = no journal)
+    std::size_t sync_rounds = 1;              ///< --sync-rounds (blocks per flush; 0 = no journal)
+    std::uint64_t epoch_steps = 0;            ///< --epoch-steps (0 = whole phases)
 
-    /// Copy the sharding knobs into a parallel-trial config (helper so every
-    /// bench wires them the same way).
+    /// Copy the out-of-core knobs into a parallel-trial config (helper so
+    /// every bench wires them the same way).
     void apply_sharding(parallel_walk_config& cfg) const {
         cfg.shards = shards;
         cfg.memory_budget = memory_budget;

@@ -58,26 +58,6 @@ void fault_before_cache_flush(std::size_t ordinal) noexcept {
     }
 }
 
-bool fault_on_shard_spill(std::size_t ordinal, std::vector<char>& bytes) noexcept {
-    if (!fault_plan_active() || bytes.empty()) return false;
-    if (ordinal == g_plan.exit_at_shard_spill) {
-        std::_Exit(9);  // SIGKILL-grade: the spill never reaches the disk
-    }
-    if (ordinal == g_plan.short_shard_spill) {
-        if (g_plan.short_shard_spill_bytes < bytes.size()) {
-            // levylint:allow(throwing-call-in-noexcept) shrink-only resize:
-            // the guard proves new size < current size, so no allocation
-            bytes.resize(g_plan.short_shard_spill_bytes);
-        }
-        return true;
-    }
-    if (ordinal == g_plan.torn_shard_spill) {
-        bytes[g_plan.torn_shard_spill_offset % bytes.size()] ^= static_cast<char>(0x40);
-        return true;
-    }
-    return false;
-}
-
 namespace {
 std::atomic<std::uint64_t> g_dir_fsyncs{0};
 }  // namespace
@@ -88,6 +68,9 @@ std::uint64_t dir_fsync_count() noexcept { return g_dir_fsyncs.load(std::memory_
 
 bool fault_on_checkpoint_flush(std::size_t ordinal, std::vector<char>& bytes) noexcept {
     if (!fault_plan_active() || bytes.empty()) return false;
+    if (ordinal == g_plan.exit_at_flush) {
+        std::_Exit(9);  // SIGKILL-grade: the flush never reaches the disk
+    }
     if (ordinal == g_plan.short_write_flush) {
         // levylint:allow(throwing-call-in-noexcept) shrink-only resize: the
         // guard proves new size < current size, so no allocation can happen

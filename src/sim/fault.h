@@ -9,15 +9,16 @@ namespace levy::sim {
 
 /// Deterministic fault-injection plan for resilience tests.
 ///
-/// Every trigger is keyed on a trial index or a checkpoint flush ordinal —
+/// Every trigger is keyed on a trial index or a journal flush ordinal —
 /// never on wall-clock time or external entropy — so a test that installs a
 /// plan gets the same fault on every run (up to thread schedule, which the
 /// checkpoint/resume layer is precisely designed to make irrelevant).
 ///
 /// Install with `install_fault_plan`, clear with `clear_fault_plan`. The
-/// hooks below are called by the Monte-Carlo driver and the checkpoint
-/// journal; with no plan installed they compile down to one relaxed atomic
-/// load. Production binaries never install a plan — only tests and the
+/// hooks below are called by the Monte-Carlo driver, the journal (the
+/// Monte-Carlo checkpoint and the out-of-core block journal alike) and
+/// levyserve; with no plan installed they compile down to one relaxed
+/// atomic load. Production binaries never install a plan — only tests and the
 /// `levyfault` tool do.
 struct fault_plan {
     static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
@@ -35,29 +36,20 @@ struct fault_plan {
     /// bytes survive. Used by the levyfault tool, never by in-process tests.
     std::size_t exit_at_trial = kNever;
 
-    /// Truncate checkpoint flush number N to `short_write_bytes` bytes.
+    /// Journal flush numbers are 0-based and counted per journal: per
+    /// Monte-Carlo run, or per sharded trial for the block journal.
+    /// Truncate journal flush number N to `short_write_bytes` bytes.
     std::size_t short_write_flush = kNever;
     std::size_t short_write_bytes = 0;
-    /// XOR one byte (at `torn_write_offset` mod file size) of checkpoint
+    /// XOR one byte (at `torn_write_offset` mod file size) of journal
     /// flush number N.
     std::size_t torn_write_flush = kNever;
     std::size_t torn_write_offset = 0;
-
-    /// --- Shard-spill faults (sim/shard_engine) ---------------------------
-    /// std::_Exit the process when shard spill number N (1-based, counted
-    /// across the run) is about to persist — a kill -9 mid-epoch: shards
-    /// already renamed into place survive, everything else is recomputed on
-    /// resume.
-    std::size_t exit_at_shard_spill = kNever;
-    /// Truncate shard spill number N to `short_shard_spill_bytes` bytes (a
-    /// torn disk under the atomic-write layer). The corruption is detected
-    /// at the next load by CRC and only that shard recomputes.
-    std::size_t short_shard_spill = kNever;
-    std::size_t short_shard_spill_bytes = 0;
-    /// XOR one byte (at `torn_shard_spill_offset` mod file size) of shard
-    /// spill number N.
-    std::size_t torn_shard_spill = kNever;
-    std::size_t torn_shard_spill_offset = 0;
+    /// std::_Exit the process when journal flush number N is about to
+    /// persist — a kill -9 between flushes: only the records already renamed
+    /// into place survive (for a sharded trial, the blocks finished before
+    /// the one whose record was being flushed).
+    std::size_t exit_at_flush = kNever;
 
     /// --- Service faults (levyserve; see src/serve/server.h) --------------
     /// Throw injected_fault from the worker handling query number N
@@ -88,9 +80,9 @@ void fault_before_trial(std::size_t index);
 void fault_after_trial(std::size_t index) noexcept;
 
 /// Hook: the journal is about to persist `bytes` as flush number `ordinal`.
-/// Applies the plan's short/torn-write mutation in place and returns true
-/// when a fault fired (the journal then plays dead so the corruption
-/// survives on disk).
+/// May _Exit the process, or apply the plan's short/torn-write mutation in
+/// place and return true when a fault fired (the journal then plays dead
+/// so the corruption survives on disk).
 [[nodiscard]] bool fault_on_checkpoint_flush(std::size_t ordinal,
                                              std::vector<char>& bytes) noexcept;
 
@@ -102,13 +94,6 @@ void fault_before_query(std::size_t sequence);
 /// (1-based). May _Exit the process per the installed plan — the bytes are
 /// assembled but nothing has been renamed into place yet.
 void fault_before_cache_flush(std::size_t ordinal) noexcept;
-
-/// Hook: the shard engine is about to persist spill number `ordinal`
-/// (1-based). May _Exit the process, or apply the plan's short/torn-write
-/// mutation in place and return true when a fault fired — the engine still
-/// writes the mutated bytes, so the corruption lands on disk exactly like a
-/// real torn write under the rename.
-[[nodiscard]] bool fault_on_shard_spill(std::size_t ordinal, std::vector<char>& bytes) noexcept;
 
 /// Durability observability: durable_rename (checkpoint.h) calls
 /// note_dir_fsync() after it has fsynced the parent directory of a rename —

@@ -9,7 +9,7 @@
 namespace levy::sim {
 
 /// The one little-endian codec pair behind every on-disk format in the tree
-/// (trial journal, shard spill, result cache). Fields are fixed-width 4- or
+/// (trial journal, block journal, result cache). Fields are fixed-width 4- or
 /// 8-byte words — integers, or doubles by bit pattern — so a file written on
 /// one host loads bit-exactly on any other. On little-endian hosts both
 /// directions are a single unaligned word move.

@@ -2,127 +2,102 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "src/core/parallel_search.h"
 #include "src/core/strategy.h"
 #include "src/grid/point.h"
-#include "src/rng/jump_distribution.h"
 #include "src/rng/rng_stream.h"
-#include "src/sim/walk_engine.h"
+#include "src/sim/checkpoint.h"
 
 namespace levy::sim {
 
-/// Knobs for the out-of-core sharded engine (see class comment below).
+/// Out-of-core runs: a parallel trial as a loop over walker-id blocks.
+///
+/// walk_engine::run_parallel(…, shard_options) cuts a trial's k walkers
+/// into `count` contiguous id blocks, block b holding ids
+/// [b·k/count, (b+1)·k/count), and runs them in id order. Each block is
+/// spawned (every walker's first visit) and driven by epochs until none of
+/// its walkers is left, under the allowance min(budget, best so far), and
+/// its local best merges into the trial's. Only one block is ever resident,
+/// so the memory bound holds by construction. The lex-min merge is
+/// order-independent and the reach bound is strict, so the result is
+/// bit-identical to one block of all k walkers — the in-memory run, which
+/// is this loop with count = 1 — at any block count, quantum, or thread
+/// count. A walker needs nothing but its own record to step, and is a pure
+/// function of (trial seed, id), so nothing is ever spilled: a block that
+/// is lost is simply run again. FlashMob bounds its memory the same way (a
+/// bounded set of walkers per epoch, each epoch run until its walkers
+/// terminate).
+///
+/// ## Journal
+///
+/// With a `spill_dir` and more than one block, a trial keeps its resume
+/// state there: one record per finished block, its local best, in a
+/// trial_journal (sim/checkpoint.h) named
+/// `blocks-<trial seed hex16>-<count>.journal`:
+///
+///     key     : seed = trial seed, trials = count, payload_size = 24,
+///               context = format version | k | cap | budget | target.x
+///               | target.y | strategy fingerprint
+///     payload : hit u64 (0 or 1) | time u64 | winner u64
+///
+/// so header and records carry CRCs, a bad tail is dropped, and every
+/// flush is an atomic_write_file. A journal of another run identity is
+/// ignored as a whole and never misread; the strategy fingerprint is a
+/// mix64 chain over the exponents of the first 16 walkers (strategies are
+/// opaque functions). Resuming folds every valid record into the best
+/// before any block runs, and skips those blocks; a dropped record reruns
+/// its block. The journal is flushed every `sync_rounds` finished blocks
+/// but never after the last one, and is removed when the trial completes,
+/// so at the default of 1 a kill -9 loses at most the block in progress.
 struct shard_options {
-    /// Walker-id blocks to partition the trial into (0 or 1 = one shard).
-    /// When `memory_budget` demands finer blocks than requested, the count
-    /// is raised so a single fully-populated shard fits the budget —
-    /// results do not depend on the shard count, only residency does.
+    /// Walker-id blocks to cut the trial into (0 or 1 = one block). Raised
+    /// until one block's records fit `memory_budget`, then clamped to k.
+    /// Results do not depend on it; only residency does.
     std::size_t shards = 1;
-    /// Resident walker-state budget in bytes (0 = unlimited). Before a shard
-    /// becomes resident, idle shards spill to disk, least-recently-advanced
-    /// first, until its walkers fit beside the rest.
+    /// Resident walker-record budget in bytes (0 = unlimited): a block of
+    /// n walkers stores at most n records of walker_block::kBytesPerWalker.
     std::uint64_t memory_budget = 0;
-    /// Steps each shard advances per residency (engine_options quantum).
-    /// 0 picks the out-of-core default, budget/8: one *phase* per round —
-    /// the in-memory engine's default — would pay a spill/load cycle per
-    /// phase, so sharded rounds take bigger bites. Results are invariant
-    /// under the quantum; only the IO schedule changes.
+    /// Steps a walker advances per epoch inside a block (0 = whole phases,
+    /// as in memory). Results are invariant under it.
     std::uint64_t epoch_steps = 0;
-    /// Directory for spill files. Empty = a per-process temp directory —
-    /// spills and crash recovery still work within the process lifetime,
-    /// but cross-run resume needs a caller-chosen stable directory.
-    std::string spill_dir;
-    /// Persist every dirty resident shard each N rounds (0 = only when
-    /// evicted). 1 — the default — bounds a kill -9 to losing at most the
-    /// shards whose current-round epoch had not yet flushed.
+    /// Directory for the block journal. Empty = no journal: nothing is
+    /// written, and a killed trial starts over.
+    std::string spill_dir = {};
+    /// Finished blocks per journal flush (0 = no journal). At 1 a kill -9
+    /// loses at most the block in progress.
     std::size_t sync_rounds = 1;
 };
 
-/// What a sharded run did, for benches and drills (results never depend on
-/// any of these — they are residency/IO accounting only).
+/// What an out-of-core trial did (results never depend on any of it). The
+/// field names are those of the earlier spilling engine; the meanings are
+/// the block loop's.
 struct shard_run_stats {
-    std::uint64_t rounds = 0;            ///< epoch rounds over the shard set
-    std::uint64_t spills = 0;            ///< shard files written
-    std::uint64_t spilled_bytes = 0;     ///< total bytes written to spill files
-    std::uint64_t loads = 0;             ///< shard files restored from disk
-    std::uint64_t recomputed = 0;        ///< shards replayed from spawn (corrupt/missing)
-    std::uint64_t resumed = 0;           ///< shards restored from a previous process
-    std::uint64_t peak_resident_walkers = 0;
+    std::uint64_t rounds = 0;         ///< blocks run (spawned and driven to the end)
+    std::uint64_t spills = 0;         ///< journal flushes
+    std::uint64_t spilled_bytes = 0;  ///< bytes those flushes wrote
+    std::uint64_t loads = 0;          ///< 1 when the trial found its own journal, else 0
+    /// Blocks a trial that found its journal still had to run: their record
+    /// was never flushed, or was dropped as corrupt. With `resumed` it sums
+    /// to the block count whenever `loads` is 1.
+    std::uint64_t recomputed = 0;
+    std::uint64_t resumed = 0;  ///< blocks folded in from the journal, not rerun
+    std::uint64_t peak_resident_walkers = 0;  ///< the largest block's stored walkers
+    /// peak_resident_walkers × kBytesPerWalker; within any `memory_budget`
+    /// that holds one walker.
     std::uint64_t peak_resident_bytes = 0;
 };
 
-/// Out-of-core sharded Lévy-walk engine: the walk_engine determinism
-/// contract at walker counts past RAM.
-///
-/// The trial's k walkers are partitioned into contiguous walker-id blocks
-/// ("shards", GraphWalker-style intervals). Shards advance round-robin, one
-/// walk_engine epoch per round, against a shared lex-min best; idle shards
-/// spill to disk through the checkpoint layer's atomic-write + CRC path
-/// whenever the next shard would not fit `memory_budget`. Because the lex-min
-/// registration rule is order-independent and allowance pruning only
-/// discards strictly-worse outcomes (a hit at exactly the current best time
-/// is still detected and tie-broken by id), the result is bit-identical to
-/// the in-memory batch engine — and to the scalar reference — at any shard
-/// count, epoch quantum, thread count, or eviction schedule.
-///
-/// ## Memory
-///
-/// A shard holds walker memory only while it is resident: it borrows a
-/// walker_block from the engine's pool when it becomes resident and hands
-/// it back cleared, capacity kept, when it is evicted or finishes. The
-/// engine's walker memory is therefore bounded by the most shards it ever
-/// had resident at once, each block sized by the largest shard it held,
-/// and a warm engine spawns and reloads into pages it already has.
-/// `memory_budget` counts live walkers, not capacity, so the pool never
-/// moves a spill or a load. The bound is held before a shard loads: it
-/// brings its id-block size on first touch and its live count at eviction
-/// after that, and residents are evicted until those bytes fit, so
-/// `peak_resident_bytes` never exceeds a budget that holds one walker. (A
-/// shard whose spill file fails to read back respawns in full and may
-/// overshoot it.) Spawning is each walker's first visit, so a shard stores
-/// only the walkers that survive it: the id-block size is an upper bound.
-///
-/// ## Durability
-///
-/// Spill files double as the resume state. Each carries the full run
-/// identity (trial seed, k, cap, budget, target, a strategy fingerprint,
-/// and the format version), the shard's serialized walkers (112 bytes
-/// each, layout in walk_engine.cpp), its local best, and CRCs over header
-/// and body, written via atomic_write_file (tmp + fsync + rename +
-/// parent-dir fsync). A kill -9 mid-epoch therefore loses at most the
-/// shards not yet flushed this round: on re-run with the same parameters,
-/// shards with a valid file resume from it, everything else replays
-/// deterministically from spawn. A corrupt or truncated file fails its
-/// CRC, is dropped, and only that shard recomputes — never its neighbors.
-/// Clean completion removes the trial's spill files.
-class sharded_walk_engine {
-public:
-    /// One parallel trial; bit-exact with walk_engine::run_parallel (and
-    /// the scalar parallel_hit) on the same arguments.
-    [[nodiscard]] parallel_result run_parallel(std::size_t k, const exponent_strategy& strategy,
-                                               point target, std::uint64_t budget,
-                                               const rng& trial_stream, std::uint64_t cap,
-                                               const shard_options& opts);
-
-    /// Residency/IO accounting for the most recent run_parallel call.
-    [[nodiscard]] const shard_run_stats& last_stats() const noexcept { return stats_; }
-
-    /// The thread's pooled engine (same pooling contract as
-    /// walk_engine::local: one instance per worker thread, reused across
-    /// trials, never shared).
-    [[nodiscard]] static sharded_walk_engine& local();
-
-private:
-    dist_cache dists_;
-    shard_run_stats stats_{};
-    /// The one spill/reload byte buffer: every encode and decode of every
-    /// trial on this engine reuses its capacity (one shard file's worth).
-    std::vector<char> io_;
-    /// Cleared walker blocks, capacity kept, that resident shards borrow
-    /// (see "Memory" above).
-    std::vector<walker_block> spare_blocks_;
+/// The journal a trial with these arguments keeps under `opts.spill_dir`:
+/// its path and its identity key (see "Journal" above). The engine opens
+/// its journal through this; tests plant and damage journals with it.
+struct block_journal_file {
+    std::string path;
+    journal_key key;
 };
+[[nodiscard]] block_journal_file block_journal_for(std::size_t k,
+                                                   const exponent_strategy& strategy,
+                                                   point target, std::uint64_t budget,
+                                                   const rng& trial_stream, std::uint64_t cap,
+                                                   const shard_options& opts);
 
 }  // namespace levy::sim

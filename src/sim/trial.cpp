@@ -4,7 +4,6 @@
 
 #include "src/core/levy_flight.h"
 #include "src/core/levy_walk.h"
-#include "src/sim/shard_engine.h"
 #include "src/sim/walk_engine.h"
 
 namespace levy::sim {
@@ -58,20 +57,13 @@ stats::proportion flight_hit_probability(const single_walk_config& cfg, const mc
 parallel_result parallel_walk_trial(const parallel_walk_config& cfg, rng stream) {
     const std::uint64_t ran = effective_budget(cfg.budget, cfg.max_steps);
     if (cfg.engine == engine_kind::batch) {
-        if (cfg.shards > 1 || cfg.memory_budget > 0) {
-            shard_options sopts;
-            sopts.shards = cfg.shards;
-            sopts.memory_budget = cfg.memory_budget;
-            sopts.spill_dir = cfg.spill_dir;
-            sopts.sync_rounds = cfg.sync_rounds;
-            sopts.epoch_steps = cfg.epoch_steps;
-            return finish(sharded_walk_engine::local().run_parallel(
-                              cfg.k, cfg.strategy, target_at(cfg.ell), ran, stream, cfg.cap,
-                              sopts),
-                          ran, cfg.budget);
-        }
+        const shard_options sopts{.shards = cfg.shards,
+                                  .memory_budget = cfg.memory_budget,
+                                  .epoch_steps = cfg.epoch_steps,
+                                  .spill_dir = cfg.spill_dir,
+                                  .sync_rounds = cfg.sync_rounds};
         return finish(walk_engine::local().run_parallel(cfg.k, cfg.strategy, target_at(cfg.ell),
-                                                        ran, stream, cfg.cap),
+                                                        ran, stream, cfg.cap, sopts),
                       ran, cfg.budget);
     }
     return finish(parallel_hit(cfg.k, cfg.strategy, target_at(cfg.ell), ran, stream, cfg.cap),

@@ -71,17 +71,18 @@ struct parallel_walk_config {
     std::uint64_t max_steps = 0;
     /// Engine choice (results are engine-independent; see engine_kind).
     engine_kind engine = engine_kind::batch;
-    /// Out-of-core sharding (batch engine only; see sim/shard_engine.h):
-    /// shards > 1 or memory_budget > 0 routes each trial through the
-    /// sharded engine — bit-identical results, bounded resident memory.
+    /// Out-of-core runs (batch engine only; see sim/shard_engine.h): shards
+    /// > 1 or memory_budget > 0 runs each trial as that many walker-id
+    /// blocks, one resident at a time — bit-identical results, bounded
+    /// resident memory.
     std::size_t shards = 0;
     std::uint64_t memory_budget = 0;  ///< resident bytes cap (0 = unlimited)
-    std::string spill_dir;            ///< shard spill/resume dir ("" = temp)
-    /// Durable-spill cadence in rounds (shard_options::sync_rounds): 0 spills
-    /// only on eviction — faster, but a crash loses the whole trial.
+    std::string spill_dir;            ///< block journal dir ("" = no journal)
+    /// Finished blocks per journal flush (shard_options::sync_rounds): 0
+    /// keeps no journal — a crash loses the whole trial.
     std::size_t sync_rounds = 1;
-    /// Steps per shard residency (shard_options::epoch_steps; 0 = the
-    /// engine's budget/8 default). Results are invariant under it.
+    /// Steps a walker advances per epoch (shard_options::epoch_steps; 0 =
+    /// whole phases). Results are invariant under it.
     std::uint64_t epoch_steps = 0;
 };
 

@@ -6,7 +6,6 @@
 
 #include "src/core/contracts.h"
 #include "src/grid/ring.h"
-#include "src/sim/le_bytes.h"
 
 namespace levy::sim {
 namespace {
@@ -24,22 +23,6 @@ constexpr std::size_t kDistCacheLimit = 1024;
 std::size_t slot_hash(std::uint64_t alpha_bits) noexcept {
     const std::uint64_t folded = alpha_bits ^ (alpha_bits >> 32);
     return static_cast<std::size_t>((folded * 0x9E3779B97F4A7C15ULL) >> 32);
-}
-
-char* store_rng(char* p, const rng& g) noexcept {
-    const rng::state st = g.save();
-    p = store_le(p, st.seed);
-    for (const std::uint64_t w : st.engine) p = store_le(p, w);
-    return p;
-}
-
-rng load_rng(const char* p) noexcept {
-    rng::state st;
-    st.seed = load_le<std::uint64_t>(p);
-    for (std::size_t i = 0; i < st.engine.size(); ++i) {
-        st.engine[i] = load_le<std::uint64_t>(p + 8 + 8 * i);
-    }
-    return rng::restore(st);
 }
 
 /// |a − b| for any two 64-bit coordinates, exact in unsigned arithmetic.
@@ -106,11 +89,6 @@ std::uint32_t dist_cache::index_for(double alpha) {
     if (ix == kEmpty) return add(bits);
     entries_[ix].dist.build_head();  // no-op once built
     return ix;
-}
-
-std::uint32_t dist_cache::index_for_bits(std::uint64_t alpha_bits) {
-    const std::uint32_t ix = find(alpha_bits);
-    return ix == kEmpty ? add(alpha_bits) : ix;
 }
 
 std::uint32_t dist_cache::find(std::uint64_t alpha_bits) noexcept {
@@ -264,12 +242,11 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
     return false;
 }
 
-std::uint64_t walker_block::epoch(const engine_options& opts, const dist_cache& dists,
-                                  point target, std::uint64_t allowance_cap, best_state& best) {
+void walker_block::epoch(const engine_options& opts, const dist_cache& dists, point target,
+                         std::uint64_t allowance_cap, best_state& best) {
     // The sweep re-reads `best` per walker, so an early hit immediately
     // shrinks everyone else's allowance; correctness never depends on that
     // — only the amount of pruned work does.
-    std::uint64_t least = ~std::uint64_t{0};
     for (std::size_t i = 0; i < walkers_.size();) {
         walker& w = walkers_[i];
         if (advance_one(w, opts, dists, target, allowance_cap, best)) {
@@ -277,80 +254,9 @@ std::uint64_t walker_block::epoch(const engine_options& opts, const dist_cache& 
             w = walkers_.back();
             walkers_.pop_back();
         } else {
-            least = std::min(least, w.elapsed);
             ++i;
         }
     }
-    return least;
-}
-
-// Spill record layout (version 3): kBytesPerWalker = 14 little-endian
-// 8-byte words, the walker record's fields in order.
-//
-//     offset  field               offset  field
-//          0  id                      72  elapsed
-//          8  alpha bits              80  phase
-//         16  main rng (5 words)      88  dx
-//         56  x                       96  dy
-//         64  y                      104  j
-//
-// An rng is its seed word then its four engine words (rng::state order).
-
-void walker_block::serialize(const dist_cache& dists, std::vector<char>& out) const {
-    const std::size_t base = out.size();
-    out.resize(base + walkers_.size() * kBytesPerWalker);
-    char* p = out.data() + base;
-    for (const walker& w : walkers_) {
-        p = store_le(p, static_cast<std::uint64_t>(w.id));
-        p = store_le(p, dists.alpha_bits(w.dist_ix));
-        p = store_rng(p, w.main);
-        p = store_le(p, w.x);
-        p = store_le(p, w.y);
-        p = store_le(p, w.elapsed);
-        p = store_le(p, w.phase);
-        p = store_le(p, w.dx);
-        p = store_le(p, w.dy);
-        p = store_le(p, w.j);
-    }
-}
-
-bool walker_block::deserialize(const char* bytes, std::size_t count, dist_cache& dists) {
-    clear();
-    walkers_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        const char* p = bytes + i * kBytesPerWalker;
-        walker w{.id = static_cast<std::size_t>(load_le<std::uint64_t>(p)),
-                 .main = load_rng(p + 16),
-                 .x = load_le<std::int64_t>(p + 56),
-                 .y = load_le<std::int64_t>(p + 64),
-                 .elapsed = load_le<std::uint64_t>(p + 72),
-                 .phase = load_le<std::uint64_t>(p + 80),
-                 .dx = load_le<std::int64_t>(p + 88),
-                 .dy = load_le<std::int64_t>(p + 96),
-                 .j = load_le<std::uint64_t>(p + 104)};
-        const auto alpha_bits = load_le<std::uint64_t>(p + 8);
-        const double alpha = std::bit_cast<double>(alpha_bits);
-        // Structural sanity before the values can reach samplers or the
-        // replay arithmetic; CRC catches random corruption first, so this
-        // is defense-in-depth against a validly-checksummed-but-bogus file.
-        // Coordinates and each |Δ| below 2^62 keep abs64, the phase length,
-        // the destination and the offsets to the target in range (a walk
-        // moves one edge per step, so no reachable node is that far out).
-        constexpr std::int64_t kLimit = std::int64_t{1} << 62;
-        const auto in_range = [](std::int64_t v) { return v > -kLimit && v < kLimit; };
-        bool ok = std::isfinite(alpha) && alpha > 1.0 && in_range(w.x) && in_range(w.y);
-        if (w.dx != 0 || w.dy != 0) {
-            ok = ok && in_range(w.dx) && in_range(w.dy) && w.phase > 0 &&
-                 w.j < static_cast<std::uint64_t>(abs64(w.dx) + abs64(w.dy));
-        }
-        if (!ok) {
-            clear();
-            return false;
-        }
-        w.dist_ix = dists.index_for_bits(alpha_bits);
-        walkers_.push_back(w);
-    }
-    return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -375,14 +281,6 @@ walk_engine& walk_engine::local() {
     return engine;
 }
 
-void walk_engine::drive(point target, std::uint64_t budget, best_state& best) {
-    while (block_.live() > 0) {
-        // One epoch: every live walker advances one phase (or quantum
-        // chunk), pruned by the best hit registered so far.
-        block_.epoch(opts_, dists_, target, budget, best);
-    }
-}
-
 hit_result walk_engine::run_single(double alpha, point target, std::uint64_t budget,
                                    const rng& stream, std::uint64_t cap) {
     if (target == origin) return {true, 0};
@@ -390,23 +288,16 @@ hit_result walk_engine::run_single(double alpha, point target, std::uint64_t bud
     block_.clear();
     block_.spawn(0, alpha, stream, dists_);
     best_state best;
-    drive(target, budget, best);
+    while (block_.live() > 0) block_.epoch(opts_, dists_, target, budget, best);
     return {best.hit, best.hit ? best.time : budget};
 }
 
 parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy& strategy,
                                           point target, std::uint64_t budget,
                                           const rng& trial_stream, std::uint64_t cap) {
-    // No walkers: a miss. A target at the origin: walker 0 hits at t = 0.
-    if (k == 0 || target == origin) {
-        return parallel_outcome({.hit = k != 0, .winner = 0}, budget, strategy, trial_stream);
-    }
-    dists_.reset(cap);
-    block_.clear();
-    best_state best;
-    block_.spawn_range(0, k, strategy, trial_stream, dists_, opts_, target, budget, best);
-    drive(target, budget, best);
-    return parallel_outcome(best, budget, strategy, trial_stream);
+    // The block loop (sim/shard_engine.cpp) with one block and no journal.
+    return run_parallel(k, strategy, target, budget, trial_stream, cap,
+                        shard_options{.epoch_steps = opts_.epoch_steps});
 }
 
 }  // namespace levy::sim

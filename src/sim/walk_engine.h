@@ -9,6 +9,7 @@
 #include "src/grid/point.h"
 #include "src/rng/jump_distribution.h"
 #include "src/rng/rng_stream.h"
+#include "src/sim/shard_engine.h"
 
 namespace levy::sim {
 
@@ -21,11 +22,11 @@ struct engine_options {
     std::uint64_t epoch_steps = 0;
 };
 
-/// Lex-min (hitting time, walker id) accumulator shared by the in-memory
-/// batch engine and the out-of-core sharded engine. The registration rule
-/// is order-independent — better time wins, equal time goes to the smaller
-/// walker index — so epoch interleaving, shard ordering, and partial-state
-/// recovery cannot change the final minimum.
+/// Lex-min (hitting time, walker id) accumulator: a block's best, and a
+/// trial's merged over its blocks. The registration rule is
+/// order-independent — better time wins, equal time goes to the smaller
+/// walker index — so epoch interleaving, block order, and resumed block
+/// records cannot change the final minimum.
 struct best_state {
     bool hit = false;
     std::uint64_t time = 0;
@@ -54,8 +55,8 @@ struct best_state {
 /// α bits with the last hit checked first: fixed strategies hit one entry
 /// per spawn, while a fresh α per walker (uniform_exponent) adds one entry
 /// per walker and must not make spawning quadratic. Shared by every walker
-/// block of a run (sharded or not); rebuilds are deterministic, so pooling
-/// and eviction never affect results.
+/// block of a run; rebuilds are deterministic, so pooling never affects
+/// results.
 class dist_cache {
 public:
     /// Prepare for a run with this cap: entries for another cap — or an
@@ -72,16 +73,6 @@ public:
     /// within a run).
     [[nodiscard]] std::uint32_t index_for(double alpha);
 
-    /// Find-or-create by α bit pattern without counting a request — how a
-    /// reloaded walker re-resolves the exponent it was spawned with.
-    [[nodiscard]] std::uint32_t index_for_bits(std::uint64_t alpha_bits);
-
-    /// The α bit pattern of entry `ix` — the stable key a spilled walker
-    /// stores so restore can re-resolve its index.
-    [[nodiscard]] std::uint64_t alpha_bits(std::uint32_t ix) const noexcept {
-        return entries_[ix].alpha_bits;
-    }
-
     [[nodiscard]] const jump_distribution& at(std::uint32_t ix) const noexcept {
         return entries_[ix].dist;
     }
@@ -96,7 +87,7 @@ private:
     };
     /// Index of the entry for `alpha_bits`, or kEmpty. The last hit's key
     /// is compared first, small enough to inline: a fixed strategy hits it
-    /// on every spawn and reload.
+    /// on every spawn.
     [[nodiscard]] std::uint32_t find(std::uint64_t alpha_bits) noexcept;
     /// find's hashed lookup, past the last hit.
     [[nodiscard]] std::uint32_t probe(std::uint64_t alpha_bits) noexcept;
@@ -116,8 +107,8 @@ private:
 };
 
 /// Dense block of in-flight walkers, one record per walker — the unit of
-/// advancement shared by the in-memory batch engine (one block per trial)
-/// and the out-of-core sharded engine (one block per resident shard).
+/// advancement: walk_engine runs a trial's walker-id blocks through one
+/// walker_block, one block at a time (one block per trial in memory).
 ///
 /// A record holds only what determines a walker: id, main RNG stream,
 /// exponent, position, elapsed steps, phase count, and the residue of the
@@ -126,10 +117,6 @@ private:
 /// where they are read. A walker that hits, exhausts its allowance, or can
 /// no longer reach the target within it retires: the last live record
 /// overwrites it.
-///
-/// A block serializes its live walkers to a flat little-endian byte layout
-/// (`kBytesPerWalker` per walker) and restores them bit-exactly, including
-/// mid-phase RNG positions — the spill format of sim/shard_engine.
 class walker_block {
 public:
     void clear() noexcept { walkers_.clear(); }
@@ -155,23 +142,13 @@ public:
     /// record. Hits register into `best`; retired walkers compact away.
     /// `allowance_cap` is a pruning bound only (pass the trial budget, or a
     /// better time already found elsewhere) — it can never change which
-    /// lex-min the union of all blocks' bests converges to. Returns the
-    /// least elapsed step count over the walkers kept (max u64 when none) —
-    /// the sharded engine's measure of how far a residency has advanced.
-    std::uint64_t epoch(const engine_options& opts, const dist_cache& dists, point target,
-                        std::uint64_t allowance_cap, best_state& best);
+    /// lex-min the union of all blocks' bests converges to.
+    void epoch(const engine_options& opts, const dist_cache& dists, point target,
+               std::uint64_t allowance_cap, best_state& best);
 
-    /// Serialized bytes per walker (see the .cpp layout table).
-    static constexpr std::size_t kBytesPerWalker = 14 * 8;
-
-    /// Append the live walkers' serialized records to `out`.
-    void serialize(const dist_cache& dists, std::vector<char>& out) const;
-
-    /// Replace this block's contents with `count` walkers parsed from
-    /// `bytes` (`count * kBytesPerWalker` bytes). Returns false — leaving
-    /// the block cleared — when a record is structurally invalid; callers
-    /// treat that like a corrupt shard and recompute.
-    [[nodiscard]] bool deserialize(const char* bytes, std::size_t count, dist_cache& dists);
+    /// Bytes of one stored walker record — what shard_options::memory_budget
+    /// counts.
+    static constexpr std::size_t kBytesPerWalker = 112;
 
 private:
     /// One in-flight walker.
@@ -186,6 +163,7 @@ private:
         std::int64_t dx = 0, dy = 0;  // displacement to the phase destination
         std::uint64_t j = 0;          // steps taken within the phase
     };
+    static_assert(sizeof(walker) == kBytesPerWalker);
 
     /// One visit to `w`: advance it by one phase (or quantum chunk) within
     /// its allowance, the lex-min of `allowance_cap` and `best`'s time; may
@@ -253,9 +231,14 @@ private:
 /// Once a hit is known the bound retires almost every walker not heading
 /// straight for the target.
 ///
-/// For walker counts past RAM, see sim/shard_engine: the out-of-core
-/// sharded mode partitions the same walker state into spillable blocks and
-/// returns bit-identical results.
+/// ## One driver
+///
+/// A parallel trial is a loop over walker-id blocks (sim/shard_engine.h):
+/// each block is spawned and driven to the end under the allowance
+/// min(budget, best so far), and only one is resident. In memory the trial
+/// is one block of all k walkers; under shard_options the block count comes
+/// from `shards` and `memory_budget`, and a spill directory keeps a journal
+/// of finished blocks to resume from. Results are the same either way.
 class walk_engine {
 public:
     walk_engine() = default;
@@ -268,25 +251,37 @@ public:
                                         const rng& stream, std::uint64_t cap = kNoCap);
 
     /// One parallel trial: bit-exact with `parallel_hit` on the same
-    /// arguments (same winner, time, and replayed winner_alpha).
+    /// arguments (same winner, time, and replayed winner_alpha). In memory:
+    /// one block, at this engine's epoch quantum.
     [[nodiscard]] parallel_result run_parallel(std::size_t k, const exponent_strategy& strategy,
                                                point target, std::uint64_t budget,
                                                const rng& trial_stream, std::uint64_t cap = kNoCap);
 
+    /// The same trial out of core: as many blocks as `opts` asks for, at its
+    /// quantum, with its journal (sim/shard_engine.h). Same result.
+    [[nodiscard]] parallel_result run_parallel(std::size_t k, const exponent_strategy& strategy,
+                                               point target, std::uint64_t budget,
+                                               const rng& trial_stream, std::uint64_t cap,
+                                               const shard_options& opts);
+
+    /// What the most recent run_parallel call did.
+    [[nodiscard]] const shard_run_stats& last_stats() const noexcept { return stats_; }
+
     [[nodiscard]] const engine_options& options() const noexcept { return opts_; }
 
     /// The thread's pooled engine: reuses the walker block and the per-(α,
-    /// cap) jump-distribution cache across trials. Each worker thread owns
-    /// its instance, so trials never share mutable state across threads.
+    /// cap) jump-distribution cache across trials and blocks. Each worker
+    /// thread owns its instance, so trials never share mutable state.
     [[nodiscard]] static walk_engine& local();
 
 private:
-    /// Run all spawned walkers to retirement, registering hits in `best`.
-    void drive(point target, std::uint64_t budget, best_state& best);
-
     engine_options opts_{};
     dist_cache dists_;
     walker_block block_;
+    shard_run_stats stats_{};
 };
+
+/// The out-of-core engine is this engine (the name stays for its callers).
+using sharded_walk_engine = walk_engine;
 
 }  // namespace levy::sim

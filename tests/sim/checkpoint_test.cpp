@@ -173,7 +173,7 @@ TEST_F(CheckpointTest, KeyMismatchIsIgnored) {
         j.record(0, &payload);
         j.commit();
     }
-    for (const journal_key other : {journal_key{8, 4, 8}, journal_key{7, 5, 8},
+    for (const journal_key& other : {journal_key{8, 4, 8}, journal_key{7, 5, 8},
                                     journal_key{7, 4, 4}}) {
         const auto loaded = load_journal(path, other);
         EXPECT_FALSE(loaded.matched);

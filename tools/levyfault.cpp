@@ -21,20 +21,21 @@
 //
 //   levyfault shardrun [--trials=N] [--seed=X] [--threads=T] [--out=FILE]
 //                      [--shards=S] [--memory-budget=B] [--spill-dir=DIR]
-//                      [--kill-at-spill=N]
-//       One fixed sharded parallel-walk sweep; per-trial results (including
-//       winner and winner exponent) as CSV to --out. Without --shards /
-//       --memory-budget it runs the in-memory engine — the byte-compare
-//       reference. --kill-at-spill=N _Exit(9)s at the N-th shard spill of a
-//       trial, leaving the spill directory mid-flight for a resume.
+//                      [--kill-at-flush=N]
+//       One fixed out-of-core parallel-walk sweep; per-trial results
+//       (including winner and winner exponent) as CSV to --out. Without
+//       --shards / --memory-budget every trial is one block — the
+//       byte-compare reference. --kill-at-flush=N _Exit(9)s when a trial's
+//       block journal is about to make its flush number N (0-based),
+//       leaving the journals of the trials in flight for a resume.
 //
 //   levyfault shards [--dir=DIR]
 //       Out-of-core drill: for 1 and 4 threads, runs an in-memory
-//       reference, a clean sharded run (byte-identical), a sharded run
-//       killed at a spill, corrupts one of the surviving shard files, then
-//       reruns over the same spill directory and byte-compares against the
-//       reference. Exit 0 = kill -9 lost nothing and the corrupt shard
-//       recomputed itself.
+//       reference, a clean out-of-core run (byte-identical, no journal
+//       left), a run killed at a journal flush, corrupts one of the
+//       surviving block journals, then reruns over the same spill directory
+//       and byte-compares against the reference. Exit 0 = kill -9 lost
+//       nothing and the corrupt journal's blocks ran again.
 //
 //   levyfault serve
 //       In-process service-fault drills against a live levyserve core
@@ -131,18 +132,18 @@ int cmd_run(int argc, char** argv) {
 int cmd_shardrun(int argc, char** argv) {
     const arg_map args(argc, argv, 2,
                        {"trials", "seed", "threads", "out", "shards", "memory-budget",
-                        "spill-dir", "kill-at-spill"});
+                        "spill-dir", "kill-at-flush"});
     sim::mc_options opts;
     opts.trials = args.get<std::size_t>("trials", 6);
     opts.seed = args.get<std::uint64_t>("seed", 4242);
     opts.threads = args.get<unsigned>("threads", 1);
 
     sim::fault_plan plan;
-    plan.exit_at_shard_spill = args.get<std::size_t>("kill-at-spill", sim::fault_plan::kNever);
-    if (plan.exit_at_shard_spill != sim::fault_plan::kNever) sim::install_fault_plan(plan);
+    plan.exit_at_flush = args.get<std::size_t>("kill-at-flush", sim::fault_plan::kNever);
+    if (plan.exit_at_flush != sim::fault_plan::kNever) sim::install_fault_plan(plan);
 
-    // Fixed workload: the drill is about the spill files, so only the
-    // sharding knobs and the Monte-Carlo identity vary.
+    // Fixed workload: the drill is about the block journals, so only the
+    // block knobs and the Monte-Carlo identity vary.
     sim::parallel_walk_config cfg;
     cfg.k = 12;
     cfg.strategy = fixed_exponent(2.5);
@@ -267,11 +268,12 @@ int cmd_shards_drill(int argc, char** argv) {
         std::cerr << "levyfault shards FAILED: " << what << "\n";
         return 1;
     };
-    const auto shard_files = [](const fs::path& spill_dir) {
+    // Everything in the spill directory: a clean run leaves nothing there.
+    const auto journal_files = [](const fs::path& spill_dir) {
         std::vector<fs::path> files;
         if (fs::exists(spill_dir)) {
             for (const auto& entry : fs::directory_iterator(spill_dir)) {
-                if (entry.path().extension() == ".lvyshard") files.push_back(entry.path());
+                files.push_back(entry.path());
             }
         }
         return files;
@@ -280,8 +282,9 @@ int cmd_shards_drill(int argc, char** argv) {
     for (const unsigned threads : {1u, 4u}) {
         const std::string tag = std::to_string(threads);
         const std::string common = "shardrun --trials=6 --seed=4242 --threads=" + tag;
-        // 6 shards of 2 walkers under a 3-walker resident budget: every
-        // round evicts, so spills are frequent and a kill lands mid-flight.
+        // 6 blocks of 2 walkers under a 3-walker resident budget: each
+        // trial flushes its journal after blocks 0..4 (flushes 0..4), so a
+        // kill at flush 3 lands mid-trial with blocks 0..2 durable.
         const std::string spill_dir = p("spill-" + tag);
         const std::string sharded_flags =
             " --shards=6 --memory-budget=" +
@@ -294,33 +297,34 @@ int cmd_shards_drill(int argc, char** argv) {
         const std::string reference = slurp(p("ref.csv"));
         if (reference.empty()) return fail_shards("reference CSV is empty");
 
-        // Clean sharded run: bit-identical results, no files left behind.
+        // Clean out-of-core run: bit-identical results, no files left behind.
         if (spawn(self, common + sharded_flags + " --out=" + p("sharded.csv")) != 0) {
             return fail_shards("sharded run did not exit 0");
         }
         if (slurp(p("sharded.csv")) != reference) {
             return fail_shards("sharded CSV differs from in-memory reference");
         }
-        if (!shard_files(spill_dir).empty()) {
-            return fail_shards("clean sharded run left spill files behind");
+        if (!journal_files(spill_dir).empty()) {
+            return fail_shards("clean sharded run left files behind");
         }
 
-        // Kill -9 (well, _Exit(9)) at a spill: the run must die nonzero and
-        // leave already-synced shards on disk for the resume.
-        if (spawn(self, common + sharded_flags + " --kill-at-spill=7 --out=" +
+        // Kill -9 (well, _Exit(9)) at a journal flush: the run must die
+        // nonzero and leave the flushed blocks on disk for the resume.
+        if (spawn(self, common + sharded_flags + " --kill-at-flush=3 --out=" +
                             p("killed.csv")) == 0) {
             return fail_shards("killed run exited 0 — fault did not fire");
         }
-        const auto survivors = shard_files(spill_dir);
-        if (survivors.empty()) return fail_shards("kill left no spill files behind");
+        const auto survivors = journal_files(spill_dir);
+        if (survivors.empty()) return fail_shards("kill left no journal behind");
 
-        // Corrupt one survivor: only that shard may recompute, and the
-        // rerun must still match the reference byte for byte.
+        // Corrupt one survivor's first record (past its 92-byte header):
+        // that trial's blocks run again, and the rerun must still match the
+        // reference byte for byte.
         {
             std::fstream f(survivors.front(), std::ios::binary | std::ios::in | std::ios::out);
             f.seekp(100);
             f.put(static_cast<char>(0x5a));
-            if (!f.good()) return fail_shards("could not corrupt a surviving shard file");
+            if (!f.good()) return fail_shards("could not corrupt a surviving journal");
         }
         if (spawn(self, common + sharded_flags + " --out=" + p("resumed.csv")) != 0) {
             return fail_shards("resumed sharded run did not exit 0");
@@ -328,8 +332,8 @@ int cmd_shards_drill(int argc, char** argv) {
         if (slurp(p("resumed.csv")) != reference) {
             return fail_shards("resumed CSV differs from in-memory reference");
         }
-        if (!shard_files(spill_dir).empty()) {
-            return fail_shards("resumed run left spill files behind");
+        if (!journal_files(spill_dir).empty()) {
+            return fail_shards("resumed run left files behind");
         }
     }
 
