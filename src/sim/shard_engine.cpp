@@ -21,17 +21,20 @@ namespace {
 constexpr std::uint64_t kJournalVersion = 1;
 constexpr std::uint32_t kRecordBytes = 3 * 8;  // hit | time | winner
 
+/// Walkers one block may store under the memory budget (k when unlimited).
+std::size_t budget_walkers(std::size_t k, const shard_options& opts) noexcept {
+    if (opts.memory_budget == 0) return k;
+    const std::uint64_t fit =
+        std::max<std::uint64_t>(1, opts.memory_budget / walker_block::kBytesPerWalker);
+    return static_cast<std::size_t>(std::min<std::uint64_t>(k, fit));
+}
+
 /// Block count: what the caller asked for, raised until one block's
 /// records fit the memory budget, clamped to one walker per block.
 std::size_t block_count(std::size_t k, const shard_options& opts) noexcept {
-    std::size_t count = std::max<std::size_t>(1, opts.shards);
-    if (opts.memory_budget > 0) {
-        const std::uint64_t max_walkers =
-            std::max<std::uint64_t>(1, opts.memory_budget / walker_block::kBytesPerWalker);
-        const std::uint64_t need = (static_cast<std::uint64_t>(k) + max_walkers - 1) / max_walkers;
-        count = std::max(count, static_cast<std::size_t>(need));
-    }
-    return std::min(count, k);
+    const std::size_t fit = std::max<std::size_t>(1, budget_walkers(k, opts));
+    const std::size_t need = (k + fit - 1) / fit;
+    return std::min(std::max({std::size_t{1}, opts.shards, need}), k);
 }
 
 /// Strategies are opaque std::functions, so their identity is fingerprinted
@@ -94,6 +97,10 @@ parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy
     }
     dists_.reset(cap);
     const std::size_t count = block_count(k, opts);
+    // One buffer for every block under this budget, the largest block's
+    // size or more: a block that outgrew it would reallocate, and the
+    // allocator keeps a freed block-sized buffer resident.
+    block_.reserve(budget_walkers(k, opts));
     const engine_options engine_opts{opts.epoch_steps};
     best_state best;
 
@@ -101,7 +108,6 @@ parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy
     // first, so every block left runs under the best they hold.
     std::optional<trial_journal> journal;
     std::vector<bool> finished;
-    std::size_t last = count - 1;  // the last block this call runs: never flushed
     if (count > 1 && !opts.spill_dir.empty() && opts.sync_rounds != 0) {
         block_journal_file file =
             block_journal_for(k, strategy, target, budget, trial_stream, cap, opts);
@@ -116,7 +122,6 @@ parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy
             best.merge(decode_record(payload));
             finished[b] = true;
         }
-        while (last > 0 && finished[last]) --last;
         if (found.matched || found.dropped_tail) {
             stats_.loads = 1;
             stats_.resumed = found.records.size();
@@ -138,7 +143,8 @@ parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy
         while (block_.live() > 0) block_.epoch(engine_opts, dists_, target, allowance, local);
         ++stats_.rounds;
         best.merge(local);
-        if (journal && b != last) journal->record(b, encode_record(local).data());
+        // The last block's record would be removed unread: never flushed.
+        if (journal && b + 1 < count) journal->record(b, encode_record(local).data());
     }
 
     stats_.peak_resident_bytes = stats_.peak_resident_walkers * walker_block::kBytesPerWalker;

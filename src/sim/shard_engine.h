@@ -69,8 +69,7 @@ struct shard_options {
 };
 
 /// What an out-of-core trial did (results never depend on any of it). The
-/// field names are those of the earlier spilling engine; the meanings are
-/// the block loop's.
+/// field names stay for their callers; the meanings are the block loop's.
 struct shard_run_stats {
     std::uint64_t rounds = 0;         ///< blocks run (spawned and driven to the end)
     std::uint64_t spills = 0;         ///< journal flushes

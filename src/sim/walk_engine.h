@@ -121,6 +121,8 @@ class walker_block {
 public:
     void clear() noexcept { walkers_.clear(); }
     [[nodiscard]] std::size_t live() const noexcept { return walkers_.size(); }
+    /// Room for `walkers` records, kept across clear().
+    void reserve(std::size_t walkers) { walkers_.reserve(walkers); }
 
     /// Add walker `id` with exponent `alpha`, its stream positioned after
     /// the strategy's exponent draw (exactly where the scalar walk starts),
