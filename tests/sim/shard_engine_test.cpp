@@ -24,7 +24,6 @@
 #include "src/grid/point.h"
 #include "src/rng/rng_stream.h"
 #include "src/sim/checkpoint.h"
-#include "src/sim/fault.h"
 #include "src/sim/shard_engine.h"
 #include "src/sim/trial.h"
 #include "src/sim/walk_engine.h"
@@ -43,10 +42,7 @@ protected:
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
-    void TearDown() override {
-        clear_fault_plan();
-        fs::remove_all(dir_);
-    }
+    void TearDown() override { fs::remove_all(dir_); }
 
     [[nodiscard]] shard_options with_spill_dir(shard_options opts) const {
         opts.spill_dir = dir_.string();
