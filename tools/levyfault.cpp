@@ -268,12 +268,15 @@ int cmd_shards_drill(int argc, char** argv) {
         std::cerr << "levyfault shards FAILED: " << what << "\n";
         return 1;
     };
-    // Everything in the spill directory: a clean run leaves nothing there.
-    const auto journal_files = [](const fs::path& spill_dir) {
+    // Files in the spill directory with `extension`, or all of them when it
+    // is empty: a clean run leaves nothing there.
+    const auto spill_files = [](const fs::path& spill_dir, const std::string& extension) {
         std::vector<fs::path> files;
         if (fs::exists(spill_dir)) {
             for (const auto& entry : fs::directory_iterator(spill_dir)) {
-                files.push_back(entry.path());
+                if (extension.empty() || entry.path().extension() == extension) {
+                    files.push_back(entry.path());
+                }
             }
         }
         return files;
@@ -304,7 +307,7 @@ int cmd_shards_drill(int argc, char** argv) {
         if (slurp(p("sharded.csv")) != reference) {
             return fail_shards("sharded CSV differs from in-memory reference");
         }
-        if (!journal_files(spill_dir).empty()) {
+        if (!spill_files(spill_dir, "").empty()) {
             return fail_shards("clean sharded run left files behind");
         }
 
@@ -314,7 +317,7 @@ int cmd_shards_drill(int argc, char** argv) {
                             p("killed.csv")) == 0) {
             return fail_shards("killed run exited 0 — fault did not fire");
         }
-        const auto survivors = journal_files(spill_dir);
+        const auto survivors = spill_files(spill_dir, ".journal");
         if (survivors.empty()) return fail_shards("kill left no journal behind");
 
         // Corrupt one survivor's first record (past its 92-byte header):
@@ -332,7 +335,7 @@ int cmd_shards_drill(int argc, char** argv) {
         if (slurp(p("resumed.csv")) != reference) {
             return fail_shards("resumed CSV differs from in-memory reference");
         }
-        if (!journal_files(spill_dir).empty()) {
+        if (!spill_files(spill_dir, "").empty()) {
             return fail_shards("resumed run left files behind");
         }
     }
