@@ -1,6 +1,7 @@
 #include "src/sim/shard_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -51,8 +52,8 @@ std::uint64_t strategy_fingerprint(std::size_t k, const exponent_strategy& strat
     return fp;
 }
 
-std::vector<char> encode_record(const best_state& best) {
-    std::vector<char> bytes(kRecordBytes);
+std::array<char, kRecordBytes> encode_record(const best_state& best) {
+    std::array<char, kRecordBytes> bytes{};
     char* p = store_le(bytes.data(), std::uint64_t{best.hit});
     p = store_le(p, best.time);
     store_le(p, static_cast<std::uint64_t>(best.winner));
