@@ -54,6 +54,18 @@ void BM_ZipfSampleHead(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSampleHead)->Arg(150)->Arg(250)->Arg(350);
 
+// What the head costs to build: once per exponent a run reuses (per
+// thread), and once per draw in a sweep of fresh exponents.
+void BM_ZipfBuildHead(benchmark::State& state) {
+    const zipf_sampler proto(state.range(0) / 100.0);
+    for (auto _ : state) {
+        zipf_sampler z = proto;
+        z.build_head();
+        benchmark::DoNotOptimize(z);
+    }
+}
+BENCHMARK(BM_ZipfBuildHead)->Arg(150)->Arg(250)->Arg(350);
+
 void BM_JumpSample(benchmark::State& state) {
     const jump_distribution d(2.5);
     rng g = rng::seeded(3);

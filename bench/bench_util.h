@@ -125,11 +125,8 @@ inline int run_main(const std::string& id, int argc, char** argv,
     }
 }
 
-/// Scale an integer dimension by --scale (at least 1).
-inline std::int64_t scaled(std::int64_t base, double scale) {
-    const auto v = static_cast<std::int64_t>(static_cast<double>(base) * scale);
-    return v < 1 ? 1 : v;
-}
+/// Scale an integer dimension by --scale (at least 1; throws past int64).
+using sim::scaled;
 
 /// Generic parallel hitting time over k arbitrary jump processes, for the
 /// baseline comparisons (E9) where the searchers are not Lévy walks.

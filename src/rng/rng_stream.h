@@ -39,8 +39,13 @@ public:
 
     /// Uniform double in [0, 1) with 53 random bits.
     double uniform() noexcept {
-        return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+        return static_cast<double>(uniform_bits()) * 0x1.0p-53;
     }
+
+    /// The 53 random bits behind uniform(): from the same stream state,
+    /// uniform() == uniform_bits() · 2⁻⁵³, so a caller can test the uniform
+    /// in integers and still convert it when it must.
+    std::uint64_t uniform_bits() noexcept { return engine_() >> 11; }
 
     /// Uniform double in (0, 1]; never returns 0 (safe for log/pow(-x)).
     double uniform_positive() noexcept {

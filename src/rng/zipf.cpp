@@ -24,22 +24,58 @@ namespace {
 // i.e. < 2^{-4.8} only in the most extreme α = 1.1 and astronomically small
 // for α ≥ 1.5.
 constexpr double kMaxX = 281474976710656.0;  // 2^48
+
+/// Devroye's acceptance test, V·X·(T−1)/(b−1) ≤ T/b: one expression, so the
+/// loop and the head's acceptance counts round it alike.
+bool accepts(double v, double x, double t, double b_minus_1, double inv_b) noexcept {
+    return v * x * (t - 1.0) / b_minus_1 <= t * inv_b;
+}
+
+/// How many k in [0, 2⁵³) accepts() takes with v = k·2⁻⁵³ for this x and
+/// its loop-computed T. Each rounded operation of the test is monotone
+/// non-decreasing in v (x, T − 1 and b − 1 are positive), so the accepted k
+/// form a prefix [0, count). The real crossing v* = (T/b)(b − 1)/(x(T − 1))
+/// lands within a few k of the count; the test itself, evaluated on both
+/// sides, moves the estimate onto it.
+std::uint64_t acceptance_count(double x, double t, double b_minus_1, double inv_b) noexcept {
+    constexpr std::uint64_t kAll = std::uint64_t{1} << 53;
+    const auto take = [&](std::uint64_t k) {
+        return accepts(static_cast<double>(k) * 0x1.0p-53, x, t, b_minus_1, inv_b);
+    };
+    const double estimate = t * inv_b * b_minus_1 / (x * (t - 1.0)) * 0x1.0p53;
+    std::uint64_t k = estimate < static_cast<double>(kAll)
+                          ? static_cast<std::uint64_t>(std::max(estimate, 0.0))
+                          : kAll;
+    while (k < kAll && take(k)) ++k;
+    while (k > 0 && !take(k - 1)) --k;
+    return k;
+}
 }  // namespace
 
 void zipf_sampler::build_head() {
     if (head_ || !(alpha_ >= kHeadMinAlpha && alpha_ <= kHeadMaxAlpha)) return;
-    auto h = std::make_shared<head>();
+    auto h = std::make_shared<head>();  // value-initialized: every guide entry 0
     for (std::uint64_t i = 0; i <= kHeadSize; ++i) {
         const double threshold = std::pow(static_cast<double>(i + 1), 1.0 - alpha_);
         h->lo[i] = threshold * (1.0 - kHeadGuard);
         h->hi[i] = threshold * (1.0 + kHeadGuard);
     }
-    h->t[0] = 0.0;  // unused: the head never settles x = 0
-    for (std::uint64_t i = 1; i <= kHeadSize; ++i) {
-        // The loop's own expression, so a settled attempt's acceptance test
-        // sees the very same T.
-        const double x = static_cast<double>(i);
-        h->t[i] = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
+    constexpr auto kBuckets = static_cast<double>(kGuideBuckets);
+    for (std::uint64_t x = 1; x <= kHeadSize; ++x) {
+        // The loop's own T, so the count describes the very test it runs.
+        const double xd = static_cast<double>(x);
+        const double t = std::pow(1.0 + 1.0 / xd, alpha_ - 1.0);
+        h->vcount[x] = acceptance_count(xd, t, b_minus_1_, inv_b_);
+        // x settles the open interval (hi[x], lo[x − 1]); bucket j lies
+        // inside it iff hi[x] < j/B and (j+1)/B ≤ lo[x − 1]. Scaling by
+        // B = 2^10 is exact, so these are the j in [first, last].
+        const double first = std::floor(h->hi[x] * kBuckets) + 1.0;
+        const double last = std::floor(h->lo[x - 1] * kBuckets) - 1.0;
+        if (first <= last) {
+            std::fill(h->guide.begin() + static_cast<std::ptrdiff_t>(first),
+                      h->guide.begin() + static_cast<std::ptrdiff_t>(last) + 1,
+                      static_cast<std::uint8_t>(x));
+        }
     }
     head_ = std::move(h);
 }
@@ -57,24 +93,32 @@ std::uint64_t zipf_sampler::head_lookup(double u) const noexcept {
     return u > h.hi[c] ? c : 0;
 }
 
+std::uint64_t zipf_sampler::head_guide(std::size_t bucket) const noexcept {
+    return head_ && bucket <= kGuideBuckets ? head_->guide[bucket] : 0;
+}
+
+std::uint64_t zipf_sampler::head_vcount(std::uint64_t x) const noexcept {
+    return head_ && x >= 1 && x <= kHeadSize ? head_->vcount[x] : 0;
+}
+
 std::uint64_t zipf_sampler::operator()(rng& g) const {
     for (;;) {
         const double u = g.uniform_positive();
-        const double v = g.uniform();
-        double x;
-        double t;  // T = (1 + 1/X)^{α-1}
-        if (const std::uint64_t settled = head_lookup(u); settled != 0) {
-            x = static_cast<double>(settled);
-            t = head_->t[settled];
-        } else {
-            const double xr = std::floor(std::pow(u, -inv_alpha_minus_1_));
-            x = std::min(xr, kMaxX);
-            t = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
+        const std::uint64_t vbits = g.uniform_bits();  // V = vbits·2⁻⁵³, as g.uniform()
+        if (head_) {
+            // A settled attempt: the guide's byte, or the search, and the
+            // test as one integer compare (head_vcount).
+            std::uint64_t x = head_->guide[static_cast<std::size_t>(u * kGuideBuckets)];
+            if (x == 0) x = head_lookup(u);
+            if (x != 0) {
+                if (vbits < head_->vcount[x]) return x;
+                continue;
+            }
         }
-        // Accept iff V·X·(T-1)/(b-1) <= T/b.
-        if (v * x * (t - 1.0) / b_minus_1_ <= t * inv_b_) {
-            return static_cast<std::uint64_t>(x);
-        }
+        const double v = static_cast<double>(vbits) * 0x1.0p-53;
+        const double x = std::min(std::floor(std::pow(u, -inv_alpha_minus_1_)), kMaxX);
+        const double t = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);  // T = (1 + 1/X)^{α-1}
+        if (accepts(v, x, t, b_minus_1_, inv_b_)) return static_cast<std::uint64_t>(x);
     }
 }
 

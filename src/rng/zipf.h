@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -28,24 +29,39 @@ public:
     /// at the same position.
     [[nodiscard]] std::uint64_t operator()(rng& g) const;
 
-    /// Build the *head*: a table that settles the common attempts of the
-    /// rejection loop without calling pow. Costs ~65 pow calls and 1.5 KiB
-    /// once, so callers build it only for exponents that draw many times
-    /// (sim::dist_cache does so when an exponent is requested twice).
-    /// Idempotent; a no-op for α outside [kHeadMinAlpha, kHeadMaxAlpha],
-    /// where the guard-band error budget (DESIGN.md) is not proven.
+    /// Build the *head*: tables that settle the common attempts of the
+    /// rejection loop without pow, search or division. Costs ~130 pow
+    /// calls and 2.5 KiB once, so callers build it only for exponents that
+    /// draw many times (sim::dist_cache does so when an exponent is
+    /// requested twice). Idempotent; a no-op for α outside [kHeadMinAlpha,
+    /// kHeadMaxAlpha], where the guard-band error budget (DESIGN.md) is not
+    /// proven.
     void build_head();
 
     [[nodiscard]] bool has_head() const noexcept { return head_ != nullptr; }
 
-    /// The head's inversion: floor(pow(u, -1/(α-1))) for a uniform u in
-    /// (0, 1], when u lies strictly between two guarded thresholds and the
-    /// value is at most kHeadSize; otherwise (or without a head) 0, and the
-    /// loop evaluates pow as before.
+    /// The head's inversion by search: floor(pow(u, -1/(α-1))) for a
+    /// uniform u in (0, 1], when u lies strictly between two guarded
+    /// thresholds and the value is at most kHeadSize; otherwise (or without
+    /// a head) 0, and the loop evaluates pow as before.
     [[nodiscard]] std::uint64_t head_lookup(double u) const noexcept;
+
+    /// The head's guide over u: entry j is x when the whole bucket
+    /// [j/B, (j+1)/B), B = kGuideBuckets, lies strictly inside x's guarded
+    /// interval, so head_lookup gives x for every u in it; otherwise (or
+    /// without a head) 0, and a draw in the bucket falls through to the
+    /// search. Entry B, u = 1's, is always 0.
+    [[nodiscard]] std::uint64_t head_guide(std::size_t bucket) const noexcept;
+
+    /// The head's acceptance count for 1 ≤ x ≤ kHeadSize: the loop's test
+    /// accepts x with v = k·2⁻⁵³ exactly when k < head_vcount(x). 0 without
+    /// a head.
+    [[nodiscard]] std::uint64_t head_vcount(std::uint64_t x) const noexcept;
 
     /// Largest jump length the head settles (H).
     static constexpr std::uint64_t kHeadSize = 63;
+    /// Buckets of the guide over u (a power of two, so u·B is exact).
+    static constexpr std::size_t kGuideBuckets = 1024;
     /// Relative half-width δ of the guard band around each threshold.
     static constexpr double kHeadGuard = 1e-9;
     /// Exponent range the head is built for.
@@ -76,7 +92,8 @@ private:
     struct head {
         std::array<double, kHeadSize + 1> lo;  // T_{i+1}·(1 − δ)
         std::array<double, kHeadSize + 1> hi;  // T_{i+1}·(1 + δ)
-        std::array<double, kHeadSize + 1> t;   // t[x] = (1 + 1/x)^{α-1}, as the loop computes it
+        std::array<std::uint64_t, kHeadSize + 1> vcount;    // see head_vcount; [0] unused
+        std::array<std::uint8_t, kGuideBuckets + 1> guide;  // see head_guide
     };
 
     double alpha_;

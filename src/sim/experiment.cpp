@@ -1,6 +1,7 @@
 #include "src/sim/experiment.h"
 
 #include <charconv>
+#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <limits>
@@ -108,6 +109,19 @@ std::string format_throughput(const run_metrics& m) {
     return out.str();
 }
 
+std::int64_t scaled(std::int64_t base, double scale) {
+    const double product = static_cast<double>(base) * scale;
+    // ±2^63 are exact doubles: every product in [−2^63, 2^63) converts.
+    constexpr double kLimit = 0x1.0p63;
+    if (!(product >= -kLimit && product < kLimit)) {
+        std::ostringstream msg;
+        msg << "--scale=" << scale << " takes " << base << " outside 64-bit integers";
+        throw std::invalid_argument(msg.str());
+    }
+    const auto v = static_cast<std::int64_t>(product);
+    return v < 1 ? 1 : v;
+}
+
 run_options parse_run_options(int argc, char** argv) {
     run_options opts;
     std::set<std::string, std::less<>> seen;
@@ -208,7 +222,9 @@ run_options parse_run_options(int argc, char** argv) {
         }
     }
     obs::get_counter("cli.flags_parsed").add(seen.size());
-    if (!(opts.scale > 0.0)) throw std::invalid_argument("--scale must be positive");
+    if (!(opts.scale > 0.0) || !std::isfinite(opts.scale)) {
+        throw std::invalid_argument("--scale must be positive and finite");
+    }
     if (opts.checkpoint_interval == 0) {
         throw std::invalid_argument("--checkpoint-interval must be >= 1");
     }

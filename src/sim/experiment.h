@@ -121,6 +121,11 @@ struct run_options {
 
 [[nodiscard]] run_options parse_run_options(int argc, char** argv);
 
+/// A bench dimension `base` scaled by --scale, truncated and at least 1.
+/// Throws std::invalid_argument when base · scale falls outside
+/// std::int64_t (or is NaN).
+[[nodiscard]] std::int64_t scaled(std::int64_t base, double scale);
+
 /// Where the structured JSON for experiment `id` should land, resolving
 /// --json against --json-dir: an explicit --json wins ("-" disables);
 /// otherwise --json-dir gives DIR/BENCH_<id>.json; empty means no JSON.

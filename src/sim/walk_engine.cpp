@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "src/core/contracts.h"
 #include "src/grid/ring.h"
@@ -163,7 +164,10 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
                                point target, std::uint64_t allowance_cap, best_state& best) {
     const std::uint64_t allowance = best.hit ? std::min(best.time, allowance_cap) : allowance_cap;
     if (w.elapsed >= allowance) return true;
-    if (w.dx == 0 && w.dy == 0) {
+    // Steps this visit may take: the epoch quantum, when set.
+    std::uint64_t quantum =
+        opts.epoch_steps != 0 ? opts.epoch_steps : std::numeric_limits<std::uint64_t>::max();
+    while (w.dx == 0 && w.dy == 0) {
         // Reach bound (see walk_engine), before any draw: elapsed <
         // allowance here.
         if (out_of_reach(w.x, w.y, w.elapsed, allowance, target)) return true;
@@ -177,10 +181,16 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
         if (d == 0) {
             // Stay-put phase: exactly one step, position unchanged. The
             // position is never the target here (a walker retires the step
-            // it first touches the target), so no hit check is needed; the
-            // phase ends here, so the reach bound runs again.
+            // it first touches the target), so it cannot hit. The next
+            // phase begins in this visit, its step counted toward the
+            // quantum: the allowance read at the visit's start never falls
+            // below the final lex-min, so carrying on under it prunes less
+            // but registers the same hits. Back at the loop's top, the
+            // reach bound runs as the phase-end check.
             ++w.elapsed;
-            return w.elapsed >= allowance || out_of_reach(w.x, w.y, w.elapsed, allowance, target);
+            if (w.elapsed >= allowance) return true;
+            if (--quantum == 0) return out_of_reach(w.x, w.y, w.elapsed, allowance, target);
+            continue;
         }
         const point from{w.x, w.y};
         // levylint:allow(conditional-main-draw): scalar parity — levy_walk
@@ -194,13 +204,12 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
     const std::int64_t adx = abs64(w.dx);
     const std::int64_t ady = abs64(w.dy);
     const auto total = static_cast<std::uint64_t>(adx + ady);
-    // Advance within the phase by at most the allowance (and the epoch
-    // quantum, when set). Steps other than the candidate i* can neither hit
-    // nor influence any later draw — tie coins live on the throwaway
+    // Advance within the phase by at most the allowance and what is left of
+    // the visit's quantum. Steps other than the candidate i* can neither
+    // hit nor influence any later draw — tie coins live on the throwaway
     // per-phase substream — so they are skipped arithmetically.
     const std::uint64_t j0 = w.j;
-    std::uint64_t take = std::min(total - j0, allowance - w.elapsed);
-    if (opts.epoch_steps != 0) take = std::min(take, opts.epoch_steps);
+    const std::uint64_t take = std::min({total - j0, allowance - w.elapsed, quantum});
     const std::uint64_t jend = j0 + take;
     // The path is monotone along both axes, and its node after step i is at
     // L1 distance exactly i from the phase start; the target can be visited

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <thread>
 #include <vector>
@@ -311,11 +312,14 @@ public:
             const double v = g.uniform();
             const double xr = std::floor(std::pow(u, -inv_alpha_minus_1_));
             const double x = std::min(xr, kMaxX);
-            const double t = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
-            if (v * x * (t - 1.0) / b_minus_1_ <= t * inv_b_) {
-                return static_cast<std::uint64_t>(x);
-            }
+            if (accepts(v, x)) return static_cast<std::uint64_t>(x);
         }
+    }
+
+    /// The loop's acceptance test for an attempt (v, x).
+    bool accepts(double v, double x) const {
+        const double t = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
+        return v * x * (t - 1.0) / b_minus_1_ <= t * inv_b_;
     }
 
 private:
@@ -450,6 +454,84 @@ TEST(ZipfHead, LookupIsExactAroundEveryThresholdAndGuardEdge) {
         EXPECT_EQ(z.head_lookup(1.0), 0u);
         const double past = std::pow(static_cast<double>(H + 1), 1.0 - alpha) * (1.0 - 2 * delta);
         EXPECT_EQ(z.head_lookup(past), 0u) << "alpha=" << alpha;
+    }
+}
+
+/// Exponents for the head's exactness tests: the head's whole range, from
+/// 1 + 10⁻⁶ (every threshold within 5·10⁻⁶ of 1, so no bucket is settled)
+/// to 1001 (T_n underflows to 0 from n = 3), with the E7 sweep's ends 2
+/// and 20/7.
+const std::vector<double> kHeadRangeAlphas = {
+    zipf_sampler::kHeadMinAlpha, 1.05, 1.5, 2.0, 16.0 / 7.0, 20.0 / 7.0, 3.0, 3.5, 9.0, 100.0,
+    500.0, zipf_sampler::kHeadMaxAlpha};
+
+TEST(ZipfHead, GuideAgreesWithSearchInEveryBucket) {
+    // A nonzero guide entry claims its whole bucket lies inside one guarded
+    // interval. The search settles an interval, so it must give the entry
+    // at the bucket's first and last representable u. A zero entry claims
+    // the opposite: the search must not settle both ends to one x.
+    constexpr std::size_t B = zipf_sampler::kGuideBuckets;
+    for (const double alpha : kHeadRangeAlphas) {
+        zipf_sampler z(alpha);
+        EXPECT_EQ(z.head_guide(0), 0u);  // no head yet
+        z.build_head();
+        ASSERT_TRUE(z.has_head()) << "alpha=" << alpha;
+        std::uint64_t guided = 0;
+        for (std::size_t j = 0; j < B; ++j) {
+            const double first = j == 0 ? std::numeric_limits<double>::denorm_min()
+                                        : static_cast<double>(j) / B;
+            const double last = std::nextafter(static_cast<double>(j + 1) / B, 0.0);
+            const std::uint64_t x = z.head_guide(j);
+            const std::uint64_t at_first = z.head_lookup(first);
+            const std::uint64_t at_last = z.head_lookup(last);
+            if (x != 0) {
+                ++guided;
+                ASSERT_LE(x, zipf_sampler::kHeadSize);
+                ASSERT_EQ(at_first, x) << "alpha=" << alpha << " bucket=" << j;
+                ASSERT_EQ(at_last, x) << "alpha=" << alpha << " bucket=" << j;
+            } else {
+                EXPECT_FALSE(at_first != 0 && at_first == at_last)
+                    << "alpha=" << alpha << " bucket=" << j << " could be guided to " << at_first;
+            }
+        }
+        EXPECT_EQ(z.head_guide(B), 0u) << "alpha=" << alpha;  // u = 1 is in T_1's band
+        if (alpha == 2.0 || alpha == 20.0 / 7.0) {
+            // T_2 = 1/2 and 2^{-13/7} ≈ 0.28: most of (0, 1] is guided.
+            EXPECT_GT(guided, B * 9 / 10) << "alpha=" << alpha;
+        }
+    }
+}
+
+TEST(ZipfHead, AcceptanceCountIsExactAtEveryLength) {
+    // The accepted v = k·2⁻⁵³ for a settled x must be exactly k <
+    // head_vcount(x), judged by the loop's own test: the count's last k is
+    // accepted and the next is not, and random k fall on the right side.
+    constexpr std::uint64_t kAll = std::uint64_t{1} << 53;
+    const auto v_of = [](std::uint64_t k) { return static_cast<double>(k) * 0x1.0p-53; };
+    rng pick = rng::seeded(0xacc);
+    for (const double alpha : kHeadRangeAlphas) {
+        const devroye_reference ref(alpha);
+        zipf_sampler z(alpha);
+        EXPECT_EQ(z.head_vcount(1), 0u);  // no head yet
+        z.build_head();
+        for (std::uint64_t x = 1; x <= zipf_sampler::kHeadSize; ++x) {
+            const std::uint64_t count = z.head_vcount(x);
+            const auto xd = static_cast<double>(x);
+            ASSERT_LE(count, kAll);
+            if (count > 0) {
+                ASSERT_TRUE(ref.accepts(v_of(count - 1), xd))
+                    << "alpha=" << alpha << " x=" << x << " count=" << count;
+            }
+            if (count < kAll) {
+                ASSERT_FALSE(ref.accepts(v_of(count), xd))
+                    << "alpha=" << alpha << " x=" << x << " count=" << count;
+            }
+            for (int probe = 0; probe < 200; ++probe) {
+                const std::uint64_t k = pick.uniform_bits();
+                ASSERT_EQ(ref.accepts(v_of(k), xd), k < count)
+                    << "alpha=" << alpha << " x=" << x << " k=" << k;
+            }
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -124,14 +125,36 @@ TEST(RunOptions, RejectsMalformedNumbers) {
                  std::invalid_argument);
 }
 
-TEST(RunOptions, RejectsNonPositiveScale) {
-    for (const char* bad : {"--scale=0", "--scale=-1.5"}) {
+TEST(RunOptions, RejectsScaleNotPositiveAndFinite) {
+    // from_chars parses inf and nan; they must meet the usage error too,
+    // not reach a bench's integer conversions.
+    for (const char* bad : {"--scale=0", "--scale=-1.5", "--scale=inf", "--scale=infinity",
+                            "--scale=-inf", "--scale=nan"}) {
         std::vector<std::string> args = {bad};
         auto argv = argv_of(args);
         EXPECT_THROW(parse_run_options(static_cast<int>(argv.size()), argv.data()),
                      std::invalid_argument)
             << bad;
     }
+}
+
+TEST(Scaled, TruncatesToAtLeastOne) {
+    EXPECT_EQ(scaled(192, 0.25), 48);
+    EXPECT_EQ(scaled(192, 1.0), 192);
+    EXPECT_EQ(scaled(10, 0.05), 1);
+    EXPECT_EQ(scaled(1, 0x1.0p62), std::int64_t{1} << 62);
+}
+
+TEST(Scaled, ThrowsWhenTheProductLeavesInt64) {
+    // A finite --scale can still overflow a dimension: 2^63 and beyond
+    // have no int64, so converting them would be undefined.
+    EXPECT_THROW((void)scaled(1, 0x1.0p63), std::invalid_argument);
+    EXPECT_THROW((void)scaled(192, 1e300), std::invalid_argument);
+    EXPECT_THROW((void)scaled(-192, 1e300), std::invalid_argument);
+    EXPECT_THROW((void)scaled(192, std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+    EXPECT_THROW((void)scaled(192, std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
 }
 
 TEST(RunOptions, RejectsDuplicateFlags) {

@@ -7,11 +7,16 @@
 //                               the worst paper-vs-fit drift in its rows
 //   levyreport DIR BASELINE     adds trials/sec and drift deltas vs the same
 //                               experiments loaded from BASELINE
+//   levyreport DIR... -- BASELINE...
+//                               the same over repeated runs, one directory
+//                               per run: each side's trials/s is the median
+//                               of its runs, so one slow run cannot move it
 //   levyreport --check DIR      validate every document against schema v1;
 //                               exit 1 (listing the problems) on any failure
-//   --fail-on-regression=PCT    with a BASELINE: exit 1 when any experiment's
-//                               trials/s dropped more than PCT percent below
-//                               its baseline (the CI bench-smoke gate)
+//   --fail-on-regression=PCT    with a baseline: exit 1 when any experiment's
+//                               trials/s fell by PCT percent or more below
+//                               its baseline (the CI bench-smoke gate); a
+//                               run directory with no documents is an error
 //
 // Paper drift is noise-aware: when a measured/fit cell carries a "± h" 95%
 // interval (the benches' CI columns), only the part of |measured - paper|
@@ -153,6 +158,7 @@ int check(const std::vector<loaded_doc>& docs) {
 }
 
 struct summary {
+    bool interrupted = false;
     double trials = 0.0;
     double trials_per_sec = 0.0;
     std::optional<double> utilization;
@@ -163,6 +169,8 @@ struct summary {
 summary summarize(const json& doc) {
     const json& m = doc.at("metrics");
     summary s;
+    const json* interrupted = doc.find("interrupted");
+    s.interrupted = interrupted != nullptr && interrupted->is_bool() && interrupted->as_bool();
     s.trials = m.at("trials").as_number();
     s.trials_per_sec = m.at("trials_per_sec").as_number();
     if (m.at("utilization").is_number()) s.utilization = m.at("utilization").as_number();
@@ -171,7 +179,31 @@ summary summarize(const json& doc) {
     return s;
 }
 
-int report(const std::vector<loaded_doc>& docs,
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/// One side's experiments, by id, over its runs (one directory each): the
+/// first run's summary, with trials/s the median over the runs that have
+/// the experiment.
+std::map<std::string, summary> summarize_runs(const std::vector<std::vector<loaded_doc>>& runs) {
+    std::map<std::string, summary> out;
+    std::map<std::string, std::vector<double>> rates;
+    for (const auto& run : runs) {
+        for (const auto& [file, doc] : run) {
+            const summary s = summarize(doc);
+            const std::string id = doc.at("experiment").as_string();
+            out.emplace(id, s);
+            rates[id].push_back(s.trials_per_sec);
+        }
+    }
+    for (auto& [id, s] : out) s.trials_per_sec = median(rates[id]);
+    return out;
+}
+
+int report(const std::map<std::string, summary>& current,
            const std::map<std::string, summary>& baseline,
            std::optional<double> fail_on_regression_pct) {
     std::vector<std::string> header = {"experiment", "trials", "trials/s", "util", "censored",
@@ -183,13 +215,9 @@ int report(const std::vector<loaded_doc>& docs,
     }
     levy::stats::text_table table(std::move(header));
     std::vector<std::string> regressions;
-    for (const auto& [file, doc] : docs) {
-        std::string id = doc.at("experiment").as_string();
-        const json* interrupted = doc.find("interrupted");
-        if (interrupted != nullptr && interrupted->is_bool() && interrupted->as_bool()) {
-            id += " (interrupted)";
-        }
-        const summary s = summarize(doc);
+    for (const auto& [experiment, s] : current) {
+        // An interrupted run is reported, never compared.
+        const std::string id = s.interrupted ? experiment + " (interrupted)" : experiment;
         std::vector<std::string> row = {
             id,
             levy::stats::fmt(s.trials, 0),
@@ -211,7 +239,7 @@ int report(const std::vector<loaded_doc>& docs,
                 row.push_back(s.drift && base->second.drift
                                   ? levy::stats::fmt(*s.drift - *base->second.drift, 4)
                                   : "-");
-                if (fail_on_regression_pct && -delta_pct > *fail_on_regression_pct) {
+                if (fail_on_regression_pct && -delta_pct >= *fail_on_regression_pct) {
                     regressions.push_back(id + ": " + levy::stats::fmt(-delta_pct, 1) +
                                           "% slower than baseline (tolerance " +
                                           levy::stats::fmt(*fail_on_regression_pct, 1) +
@@ -234,11 +262,20 @@ int main(int argc, char** argv) {
     bool check_mode = false;
     std::optional<double> fail_on_regression_pct;
     std::vector<std::string> dirs;
+    std::vector<std::string> baseline_dirs;
+    bool after_separator = false;
     constexpr const char* kUsage =
-        "usage: levyreport [--check] [--fail-on-regression=PCT] DIR [BASELINE_DIR]\n";
+        "usage: levyreport [--check] [--fail-on-regression=PCT] DIR [BASELINE_DIR]\n"
+        "       levyreport [--fail-on-regression=PCT] DIR... -- BASELINE_DIR...\n";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--check") {
+        if (arg == "--") {
+            if (after_separator) {
+                std::cerr << "levyreport: -- given twice\n";
+                return 1;
+            }
+            after_separator = true;
+        } else if (arg == "--check") {
             check_mode = true;
         } else if (arg.rfind("--fail-on-regression=", 0) == 0) {
             const auto pct = leading_number(arg.substr(std::string("--fail-on-regression=").size()));
@@ -254,31 +291,46 @@ int main(int argc, char** argv) {
             std::cerr << "levyreport: unknown flag " << arg << '\n';
             return 1;
         } else {
-            dirs.push_back(arg);
+            (after_separator ? baseline_dirs : dirs).push_back(arg);
         }
     }
-    if (dirs.empty() || dirs.size() > 2 || (check_mode && dirs.size() != 1) ||
-        (fail_on_regression_pct && dirs.size() != 2)) {
-        if (fail_on_regression_pct && dirs.size() != 2) {
-            std::cerr << "levyreport: --fail-on-regression requires a BASELINE_DIR\n";
-        }
+    // Without "--", a second directory is the baseline.
+    if (!after_separator && dirs.size() == 2) {
+        baseline_dirs.push_back(dirs.back());
+        dirs.pop_back();
+    }
+    const bool valid = !dirs.empty() &&
+                       (after_separator ? !baseline_dirs.empty() : dirs.size() == 1) &&
+                       !(check_mode && !baseline_dirs.empty());
+    if (!valid) {
         std::cerr << kUsage;
         return 1;
     }
+    if (fail_on_regression_pct && baseline_dirs.empty()) {
+        std::cerr << "levyreport: --fail-on-regression requires a BASELINE_DIR\n" << kUsage;
+        return 1;
+    }
     try {
-        const std::vector<loaded_doc> docs = load_dir(dirs[0]);
-        if (docs.empty()) {
-            std::cerr << "levyreport: no BENCH_*.json in " << dirs[0] << '\n';
+        const auto load_runs = [&](const std::vector<std::string>& side) {
+            std::vector<std::vector<loaded_doc>> runs;
+            for (const std::string& dir : side) {
+                runs.push_back(load_dir(dir));
+                // A run that left no documents cannot be compared: the gate
+                // must not pass on the other runs alone.
+                if (runs.back().empty() && fail_on_regression_pct) {
+                    throw std::runtime_error("no BENCH_*.json in " + dir);
+                }
+            }
+            return runs;
+        };
+        const std::vector<std::vector<loaded_doc>> runs = load_runs(dirs);
+        if (runs.front().empty()) {
+            std::cerr << "levyreport: no BENCH_*.json in " << dirs.front() << '\n';
             return check_mode ? 1 : 0;
         }
-        if (check_mode) return check(docs);
-        std::map<std::string, summary> baseline;
-        if (dirs.size() == 2) {
-            for (const auto& [file, doc] : load_dir(dirs[1])) {
-                baseline.emplace(doc.at("experiment").as_string(), summarize(doc));
-            }
-        }
-        return report(docs, baseline, fail_on_regression_pct);
+        if (check_mode) return check(runs.front());
+        return report(summarize_runs(runs), summarize_runs(load_runs(baseline_dirs)),
+                      fail_on_regression_pct);
     } catch (const std::exception& e) {
         std::cerr << "levyreport: " << e.what() << '\n';
         return 2;
