@@ -60,8 +60,7 @@ void path_band(const sim::run_options& opts) {
             const point v = sample_ring(origin, d, g);
             direct_path_stepper s(origin, v);
             point ui = origin;
-            // levylint:allow(substream-discipline): the marginal-band bench
-            // dedicates g to this path sample; there is no main stream to
+            // g is dedicated to this path sample: there is no main stream to
             // protect from the stepper's data-dependent tie coins.
             for (std::int64_t step = 0; step < i; ++step) ui = s.advance(g);
             ++counts[ring_index(origin, ui)];

@@ -91,8 +91,7 @@ void BM_DirectPathStep(benchmark::State& state) {
     direct_path_stepper s(origin, {1 << 20, 1 << 19});
     for (auto _ : state) {
         if (s.done()) s = direct_path_stepper(origin, {1 << 20, 1 << 19});
-        // levylint:allow(substream-discipline): microbenchmark drives the
-        // stepper from a throwaway stream; no replay contract applies.
+        // A throwaway stream: no replay contract applies.
         benchmark::DoNotOptimize(s.advance(g));
     }
 }
@@ -116,24 +115,34 @@ void BM_SimpleRandomWalkStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SimpleRandomWalkStep);
 
-/// ConsoleReporter that additionally records every run as a table row, so
-/// E15's numbers land in the same structured BENCH_E15.json schema as the
-/// run_main-based benches (Google Benchmark owns main-loop control here, so
-/// E15 cannot go through bench_util's run_main).
-class capturing_reporter : public benchmark::ConsoleReporter {
+/// Records every run as a table row, so E15's numbers land in the same
+/// structured BENCH_E15.json schema as the run_main-based benches (Google
+/// Benchmark owns main-loop control here, so E15 cannot go through
+/// bench_util's run_main), and forwards every report to the display
+/// reporter that --benchmark_format and --benchmark_color select.
+class capturing_reporter : public benchmark::BenchmarkReporter {
 public:
+    bool ReportContext(const Context& context) override {
+        return display_->ReportContext(context);
+    }
+
     void ReportRuns(const std::vector<Run>& report) override {
         for (const Run& run : report) {
             rows_.push_back({run.benchmark_name(), std::to_string(run.iterations),
                              std::to_string(run.GetAdjustedRealTime()),
                              std::to_string(run.GetAdjustedCPUTime())});
         }
-        ConsoleReporter::ReportRuns(report);
+        display_->ReportRuns(report);
     }
+
+    void Finalize() override { display_->Finalize(); }
 
     [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
 private:
+    // One library-owned instance per process: never deleted here. Built
+    // after benchmark::Initialize has parsed the flags it reads.
+    benchmark::BenchmarkReporter* display_ = benchmark::CreateDefaultDisplayReporter();
     std::vector<std::vector<std::string>> rows_;
 };
 

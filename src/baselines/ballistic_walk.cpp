@@ -28,9 +28,9 @@ void ballistic_walk::arm_segment() {
 
 point ballistic_walk::step() {
     if (path_->done()) arm_segment();
-    // levylint:allow(substream-discipline): scalar-only baseline (E9) with
-    // no batch twin to replay against; its private stream_ feeds nothing
-    // but this walk, so per-phase substreams would buy nothing.
+    // Scalar-only baseline (E9) with no batch twin to replay against; its
+    // private stream_ feeds nothing but this walk, so per-phase substreams
+    // would buy nothing.
     pos_ = path_->advance(stream_);
     ++steps_;
     return pos_;

@@ -42,8 +42,7 @@ point fk_ants_searcher::step() {
     switch (phase_) {
         case phase::outbound:
             if (!path_->done()) {
-                // levylint:allow(conditional-main-draw, substream-discipline):
-                // scalar-only FK-ants baseline (E9); stream_ is private to
+                // Scalar-only FK-ants baseline (E9): stream_ is private to
                 // this searcher and never replayed by a batch twin.
                 pos_ = path_->advance(stream_);
                 if (path_->done()) {
@@ -72,8 +71,7 @@ point fk_ants_searcher::step() {
             [[fallthrough]];
         case phase::inbound:
             if (!path_->done()) {
-                // levylint:allow(conditional-main-draw, substream-discipline):
-                // same as outbound — scalar-only baseline, private stream.
+                // As outbound: scalar-only baseline, private stream.
                 pos_ = path_->advance(stream_);
             }
             if (path_->done()) begin_epoch();

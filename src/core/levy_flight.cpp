@@ -11,10 +11,9 @@ point levy_flight::step() {
     const std::uint64_t d = jumps_.sample_capped(stream_, cap_);
     last_jump_ = d;
     if (d != 0) {
-        // levylint:allow(conditional-main-draw): the stay-put skip is pure
-        // in the flight's own draw history (d was just drawn from stream_),
-        // so the draw count replays exactly; reordering would change every
-        // pinned golden trajectory.
+        // The stay-put skip is pure in the flight's own draw history (d was
+        // just drawn from stream_), so the draw count replays exactly;
+        // reordering would change every pinned golden trajectory.
         pos_ = sample_ring(pos_, static_cast<std::int64_t>(d), stream_);
     }
     ++steps_;

@@ -36,10 +36,10 @@ point direct_path_stepper::advance(rng& g) {
         } else if (ey < ex) {
             step_x = false;
         } else {
-            // levylint:allow(conditional-main-draw): the tie coin is the
-            // documented consumer of the per-phase path substream — callers
-            // pass stream.substream(phase), never the main stream, so its
-            // data-dependent draw count cannot skew main-stream replay.
+            // The tie coin is the documented consumer of the per-phase path
+            // substream: callers pass stream.substream(phase), never the
+            // main stream, so its data-dependent draw count cannot skew
+            // main-stream replay.
             step_x = g.coin();  // exact tie: both nodes equidistant from w_{i+1}
         }
     }
@@ -56,10 +56,9 @@ std::vector<point> sample_direct_path(point from, point to, rng& g) {
     std::vector<point> path;
     path.reserve(static_cast<std::size_t>(stepper.length()) + 1);
     path.push_back(from);
-    // levylint:allow(conditional-main-draw, substream-discipline): analysis
-    // helper that materialises one whole path; the caller hands it a stream
-    // dedicated to this path (tests and E12 pass a throwaway), so there is
-    // no main stream whose draw count could drift.
+    // An analysis helper that materialises one whole path: the caller hands
+    // it a stream dedicated to this path (tests and E12 pass a throwaway),
+    // so there is no main stream whose draw count could drift.
     while (!stepper.done()) path.push_back(stepper.advance(g));
     return path;
 }

@@ -173,10 +173,10 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
         if (out_of_reach(w.x, w.y, w.elapsed, allowance, target)) return true;
         // Begin a phase: same stream, same draw order as the scalar walk.
         ++w.phase;
-        // levylint:allow(conditional-main-draw): the phase-start guard is
-        // pure in the walker's own draw history (dx, dy are 0 exactly when
-        // the scalar walk starts a phase), so the draw count replays
-        // bit-exactly — pinned by walk_engine_test scalar/batch parity.
+        // The phase-start guard is pure in the walker's own draw history
+        // (dx, dy are 0 exactly when the scalar walk starts a phase), so the
+        // draw count replays bit-exactly — pinned by walk_engine_test
+        // scalar/batch parity.
         const std::uint64_t d = dists.at(w.dist_ix).sample_capped(w.main, dists.cap());
         if (d == 0) {
             // Stay-put phase: exactly one step, position unchanged. The
@@ -193,9 +193,9 @@ bool walker_block::advance_one(walker& w, const engine_options& opts, const dist
             continue;
         }
         const point from{w.x, w.y};
-        // levylint:allow(conditional-main-draw): scalar parity — levy_walk
-        // also skips the ring draw on stay-put phases (d == 0), so the
-        // branch is replayed identically from the same stream state.
+        // Scalar parity: levy_walk also skips the ring draw on stay-put
+        // phases (d == 0), so the branch is replayed identically from the
+        // same stream state.
         const point delta = sample_ring(from, static_cast<std::int64_t>(d), w.main) - from;
         w.dx = delta.x;
         w.dy = delta.y;

@@ -1,8 +1,7 @@
 // Unit tests for levylint's semantic index and cross-TU call-graph linker
 // (tools/levylint/index.h, callgraph.h): call resolution with qualifier
-// suffixes, parameter-shape recovery for rng streams, substream-derivation
-// tracking, task-lambda attribution through the parallel fixpoint, and the
-// unanimity rule for unordered-returning callees.
+// suffixes, parameter-name recovery, task-lambda attribution through the
+// parallel fixpoint, and the unanimity rule for unordered-returning callees.
 
 #include <string>
 #include <utility>
@@ -35,35 +34,26 @@ int call_index(const project_model& m, int tu, const std::string& name) {
     return -1;
 }
 
-TEST(LevylintIndex, RecoversParameterShapes) {
+TEST(LevylintIndex, RecoversParameterNames) {
     const project_model m = model_of({{"a.cpp", R"src(
         struct rng { double uniform(); };
         double consume(rng s);
         double observe(const rng& g);
-        void drive(rng& g, int n);
+        void drive(rng& g, int n = 3);
     )src"}});
     ASSERT_EQ(m.tus[0].funcs.size(), 4u);  // uniform + the three free functions
 
     const auto& consume = m.tus[0].funcs[1];
     ASSERT_EQ(consume.name, "consume");
-    ASSERT_EQ(consume.params.size(), 1u);
-    EXPECT_TRUE(consume.params[0].is_rng);
-    EXPECT_TRUE(consume.params[0].by_value);
-    EXPECT_FALSE(consume.params[0].by_const_ref);
+    EXPECT_EQ(consume.params, (std::vector<std::string>{"s"}));
 
     const auto& observe = m.tus[0].funcs[2];
-    ASSERT_EQ(observe.params.size(), 1u);
-    EXPECT_TRUE(observe.params[0].is_rng);
-    EXPECT_FALSE(observe.params[0].by_value);
-    EXPECT_TRUE(observe.params[0].by_const_ref);
+    ASSERT_EQ(observe.name, "observe");
+    EXPECT_EQ(observe.params, (std::vector<std::string>{"g"}));
 
     const auto& drive = m.tus[0].funcs[3];
-    ASSERT_EQ(drive.params.size(), 2u);
-    EXPECT_TRUE(drive.params[0].is_rng);
-    EXPECT_FALSE(drive.params[0].by_value);
-    EXPECT_FALSE(drive.params[0].by_const_ref);
-    EXPECT_FALSE(drive.params[1].is_rng);
-    EXPECT_EQ(drive.params[1].name, "n");
+    ASSERT_EQ(drive.name, "drive");
+    EXPECT_EQ(drive.params, (std::vector<std::string>{"g", "n"}));  // default argument dropped
 }
 
 TEST(LevylintCallgraph, ResolvesCrossTuCallsOnQualifierSuffix) {
@@ -86,9 +76,7 @@ TEST(LevylintCallgraph, ResolvesCrossTuCallsOnQualifierSuffix) {
     ASSERT_EQ(m.call_targets[caller_tu][c].size(), 1u);
     const func_info& callee = m.func(m.call_targets[caller_tu][c][0]);
     EXPECT_EQ(callee.qname, "levy::sim::spawn");
-    ASSERT_EQ(callee.params.size(), 1u);
-    EXPECT_TRUE(callee.params[0].is_rng);
-    EXPECT_TRUE(callee.params[0].by_const_ref);
+    EXPECT_EQ(callee.params, (std::vector<std::string>{"g"}));
 }
 
 TEST(LevylintCallgraph, MismatchedQualifiersAndStdStayUnresolved) {
@@ -143,7 +131,9 @@ TEST(LevylintCallgraph, MarksInlineAndBoundNameTaskLambdas) {
 TEST(LevylintCallgraph, PropagatesTaskMarkingThroughForwardedParams) {
     // The monte_carlo_collect(trial_fn) pattern: a lambda handed to a
     // *wrapper* runs in parallel because the wrapper invokes its parameter
-    // inside a pool task — across TU boundaries, to a fixpoint.
+    // inside a pool task — across TU boundaries, to a fixpoint. The second
+    // wrapper has monte_carlo_collect's shape: a trailing return type whose
+    // decltype holds a brace-initialized argument, and a bound task lambda.
     const project_model m = model_of({
         {"wrap.cpp", R"src(
             template <class F>
@@ -154,39 +144,34 @@ TEST(LevylintCallgraph, PropagatesTaskMarkingThroughForwardedParams) {
                 parallel_for(n, threads, [&](unsigned long long i) { trial(i); });
             }
         )src"},
+        {"monte_carlo.h", R"src(
+            template <class F>
+            auto collect_trials(const mc_options& opts, F&& trial_fn)
+                -> std::vector<decltype(trial_fn(std::size_t{}, std::declval<rng&>()))> {
+                using result_t = decltype(trial_fn(std::size_t{}, std::declval<rng&>()));
+                std::vector<result_t> results(opts.trials);
+                const auto run_one = [&](std::size_t i) {
+                    rng stream = master.substream(i);
+                    results[i] = trial_fn(i, stream);
+                };
+                parallel_for(opts.trials, opts.threads, run_one, opts.chunk);
+                return results;
+            }
+        )src"},
         {"use.cpp", R"src(
             template <class F>
             void collect(unsigned long long n, unsigned threads, F trial);
 
-            void estimate(unsigned threads) {
+            void estimate(unsigned threads, const mc_options& opts) {
                 collect(100, threads, [&](unsigned long long i) { (void)i; });
+                (void)collect_trials(opts, [&](std::size_t i, rng& g) { return i; });
             }
         )src"},
     });
     const int tu = m.tu_of("use.cpp");
-    ASSERT_EQ(m.tus[tu].lambdas.size(), 1u);
+    ASSERT_EQ(m.tus[tu].lambdas.size(), 2u);
     EXPECT_TRUE(m.lambda_is_task[tu][0]);
-}
-
-TEST(LevylintIndex, TracksSubstreamDerivationsInBodiesOnly) {
-    const project_model m = model_of({{"walker.cpp", R"src(
-        struct rng { rng substream(unsigned long long i) const; double uniform(); };
-        struct walker {
-            rng stream_;
-            rng path_stream_;
-            walker(rng s) : stream_(s), path_stream_(s.substream(0)) {}
-            void phase(unsigned long long p) {
-                rng coins = stream_.substream(p);
-                (void)coins.uniform();
-            }
-        };
-    )src"}});
-    // Body derivation counts; the ctor-init placeholder deliberately does
-    // not (a per-phase substream must be rederived keyed by the phase).
-    EXPECT_EQ(m.derived_names.count("coins"), 1u);
-    EXPECT_EQ(m.derived_names.count("path_stream_"), 0u);
-    EXPECT_EQ(m.rng_member_names.count("stream_"), 1u);
-    EXPECT_EQ(m.rng_member_names.count("path_stream_"), 1u);
+    EXPECT_TRUE(m.lambda_is_task[tu][1]);
 }
 
 TEST(LevylintCallgraph, UnorderedCalleesRequireUnanimity) {

@@ -25,10 +25,10 @@ using namespace levylint;
 
 std::vector<finding> sample_findings() {
     return {
-        {"src/core/levy_walk.cpp", 21, "substream-discipline",
-         "path stepping draws its tie coins from `stream_`, which is not substream-derived"},
-        {"src/core/levy_walk.cpp", 63, "substream-discipline",
-         "draw from `stream_` after its derived substream `coins` was already used"},
+        {"bench/bench_e11_origin_visits.cpp", 33, "shared-mutation-in-parallel",
+         "write to by-reference capture `calls` from a parallel task is a data race"},
+        {"bench/bench_e11_origin_visits.cpp", 36, "shared-mutation-in-parallel",
+         "container growth on by-reference capture `seen` from a parallel task is a data race"},
         {"bench/bench_e1.cpp", 5, "float-equality",
          "escapes survive the round trip: quote \" backslash \\ newline \n tab \t"},
     };

@@ -42,8 +42,6 @@ private:
                 m_.funcs_by_name[tu.funcs[f].name].push_back(
                     {static_cast<int>(t), static_cast<int>(f)});
             }
-            m_.derived_names.insert(tu.substream_derived.begin(), tu.substream_derived.end());
-            m_.rng_member_names.insert(tu.rng_members.begin(), tu.rng_members.end());
         }
     }
 
@@ -178,7 +176,7 @@ private:
         if (fn < 0) return false;
         const func_info& f = m_.tus[t].funcs[fn];
         for (std::size_t p = 0; p < f.params.size(); ++p) {
-            if (f.params[p].name == name && !parallel_invoked[t][fn][p]) {
+            if (f.params[p] == name && !parallel_invoked[t][fn][p]) {
                 parallel_invoked[t][fn][p] = true;
                 return true;
             }

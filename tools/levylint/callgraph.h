@@ -10,9 +10,8 @@
 
 // Pass 2, step one: link the per-TU semantic indexes into a project-wide
 // model — resolve call sites to candidate definitions across TUs, attribute
-// lambdas to the parallel regions that will execute them, and union the
-// project-wide name sets the flow rules key off (substream-derived streams,
-// rng-typed members).
+// lambdas to the parallel regions that will execute them, and name the
+// callees that return unordered containers.
 //
 // Resolution is name-based with qualifier-suffix disambiguation: a call
 // `sim::parallel_for(...)` matches any indexed function whose qualified name
@@ -50,11 +49,6 @@ struct project_model {
     /// container. Feeds the unordered-iteration rule (replaces the old
     /// project-wide name-matching heuristic).
     std::vector<std::set<std::string>> unordered_call_names;
-
-    /// Project-wide union of tu_index::substream_derived.
-    std::set<std::string> derived_names;
-    /// Project-wide union of tu_index::rng_members.
-    std::set<std::string> rng_member_names;
 
     [[nodiscard]] int tu_of(const std::string& path) const;
     [[nodiscard]] const func_info& func(func_ref r) const { return tus[r.tu].funcs[r.fn]; }

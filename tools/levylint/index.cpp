@@ -54,12 +54,19 @@ char closer_for(char open) {
 }
 
 /// Index just past a balanced <...> starting at `open`; `open` when the scan
-/// bails (comparison operator, statement boundary, runaway).
+/// bails (comparison operator, statement boundary, runaway). A (...) group
+/// inside is skipped whole, so `vector<decltype(f(std::size_t{}))>` closes.
 std::size_t skip_angles(const tokens_t& ts, std::size_t open, std::size_t limit = 160) {
     int depth = 0;
     for (std::size_t i = open; i < ts.size() && i < open + limit; ++i) {
         const token& t = ts[i];
         if (t.kind != tok::punct) continue;
+        if (t.text == "(") {
+            const std::size_t past = match_group(ts, i);
+            if (past == i) break;
+            i = past - 1;
+            continue;
+        }
         if (t.text == "<") ++depth;
         if (t.text == ">" && --depth == 0) return i + 1;
         if (t.text == ">>") {
@@ -69,30 +76,6 @@ std::size_t skip_angles(const tokens_t& ts, std::size_t open, std::size_t limit 
         if (t.text == ";" || t.text == "{") break;
     }
     return open;
-}
-
-/// Does the token range [begin, end) contain identifier `rng` as the *main*
-/// type (after stripping cv-qualifiers and the levy:: namespace), rather
-/// than buried in a template argument (std::function<double(rng&)>)?
-bool leading_type_is_rng(const tokens_t& ts, std::size_t begin, std::size_t end) {
-    std::size_t i = begin;
-    while (i < end) {
-        const token& t = ts[i];
-        if (is_ident(t, "const") || is_ident(t, "volatile") || is_decl_specifier(t.text) ||
-            is_ident(t, "levy") || is_punct(t, "::")) {
-            ++i;
-            continue;
-        }
-        return is_ident(t, "rng");
-    }
-    return false;
-}
-
-bool range_has_ident(const tokens_t& ts, std::size_t begin, std::size_t end, const char* name) {
-    for (std::size_t i = begin; i < end && i < ts.size(); ++i) {
-        if (is_ident(ts[i], name)) return true;
-    }
-    return false;
 }
 
 const char* kUnorderedNames[] = {"unordered_map", "unordered_set", "unordered_multimap",
@@ -107,12 +90,11 @@ public:
     }
 
     tu_index run() {
-        scan_decl_scope(0, ts_.size(), /*in_class=*/false);
+        scan_decl_scope(0, ts_.size());
         for (std::size_t f = 0; f < out_.funcs.size(); ++f) {
             const func_info& fn = out_.funcs[f];
             if (fn.is_definition) {
                 scan_body(static_cast<int>(f), -1, fn.body_begin + 1, fn.body_end - 1);
-                collect_derivations(fn.body_begin + 1, fn.body_end - 1);
             }
         }
         return std::move(out_);
@@ -121,9 +103,8 @@ public:
 private:
     // --- declaration scope (file / namespace / class bodies) ---------------
 
-    void scan_decl_scope(std::size_t begin, std::size_t end, bool in_class) {
+    void scan_decl_scope(std::size_t begin, std::size_t end) {
         std::size_t i = begin;
-        std::size_t stmt = begin;  // start of the current statement
         while (i < end) {
             const token& t = ts_[i];
             if (is_ident(t, "template") && i + 1 < end && is_punct(ts_[i + 1], "<")) {
@@ -132,36 +113,28 @@ private:
                 continue;
             }
             if (is_ident(t, "namespace")) {
-                i = stmt = enter_namespace(i, end);
+                i = enter_namespace(i, end);
                 continue;
             }
             if (is_ident(t, "struct") || is_ident(t, "class") || is_ident(t, "union")) {
-                i = stmt = enter_class(i, end);
+                i = enter_class(i, end);
                 continue;
             }
             if (is_ident(t, "enum")) {
-                i = stmt = skip_to_statement_end(i, end);
+                i = skip_to_statement_end(i, end);
                 continue;
             }
             if (is_ident(t, "using") || is_ident(t, "typedef")) {
-                i = stmt = skip_past(i, end, ";");
+                i = skip_past(i, end, ";");
                 continue;
             }
             if (t.kind == tok::identifier && !is_control_keyword(t.text) &&
                 !is_decl_specifier(t.text)) {
                 const std::size_t past = try_function(i, end);
                 if (past != i) {
-                    i = stmt = past;
+                    i = past;
                     continue;
                 }
-            }
-            if (is_punct(t, ";")) {
-                // End of a statement that was not a function: at class scope
-                // this is a candidate data-member declaration.
-                if (in_class) member_statement(stmt, i);
-                stmt = i + 1;
-                ++i;
-                continue;
             }
             if (is_punct(t, "{")) {
                 const std::size_t past = match_group(ts_, i);
@@ -186,7 +159,7 @@ private:
         const std::size_t past = match_group(ts_, j);
         if (past == j) return j + 1;
         for (const std::string& p : parts) scope_.push_back(p);
-        scan_decl_scope(j + 1, past - 1, /*in_class=*/false);
+        scan_decl_scope(j + 1, past - 1);
         scope_.resize(scope_.size() - parts.size());
         return past;
     }
@@ -215,30 +188,9 @@ private:
         const std::size_t past = match_group(ts_, open);
         if (past == open) return open + 1;
         scope_.push_back(name);
-        scan_decl_scope(open + 1, past - 1, /*in_class=*/true);
+        scan_decl_scope(open + 1, past - 1);
         scope_.pop_back();
         return past;
-    }
-
-    /// A class-scope statement with no parameter list: if the declared type
-    /// mentions `rng` (rng s_; std::vector<rng> main_;), record the member
-    /// name — the last identifier before the terminator or its initializer.
-    void member_statement(std::size_t begin, std::size_t semi) {
-        if (!range_has_ident(ts_, begin, semi, "rng")) return;
-        std::size_t stop = semi;
-        for (std::size_t k = begin; k < semi; ++k) {
-            if (is_punct(ts_[k], "=") || is_punct(ts_[k], "{")) {
-                stop = k;
-                break;
-            }
-        }
-        for (std::size_t k = stop; k > begin; --k) {
-            if (ts_[k - 1].kind == tok::identifier && !is_ident(ts_[k - 1], "rng") &&
-                !is_ident(ts_[k - 1], "const")) {
-                out_.rng_members.insert(ts_[k - 1].text);
-                return;
-            }
-        }
     }
 
     std::size_t skip_past(std::size_t i, std::size_t end, const char* punct) {
@@ -342,7 +294,6 @@ private:
         qn += fn.name;
         fn.qname = std::move(qn);
         fn.returns_unordered = range_has_unordered_text(fn.ret);
-        fn.returns_rng = ret_is_rng(fn.ret);
 
         parse_params(lparen + 1, rparen_past - 1, fn.params);
 
@@ -359,7 +310,6 @@ private:
                 if (trailing_ret) {
                     fn.ret = trail;
                     fn.returns_unordered = range_has_unordered_text(fn.ret);
-                    fn.returns_rng = ret_is_rng(fn.ret);
                 }
                 finish_decl(fn);
                 return k + 1;
@@ -368,7 +318,6 @@ private:
                 if (trailing_ret) {
                     fn.ret = trail;
                     fn.returns_unordered = range_has_unordered_text(fn.ret);
-                    fn.returns_rng = ret_is_rng(fn.ret);
                 }
                 const std::size_t past = match_group(ts_, k);
                 if (past == k) return i;
@@ -438,8 +387,14 @@ private:
                 continue;
             }
             if (trailing_ret) {
-                trail.push_back(t.text);
-                ++k;
+                // A balanced (...) or <...> group is one piece of the return
+                // type: the '{' of `decltype(f(std::size_t{}))` is not the
+                // body.
+                std::size_t past = k + 1;
+                if (is_punct(t, "(")) past = match_group(ts_, k);
+                if (is_punct(t, "<")) past = skip_angles(ts_, k);
+                if (past == k) return i;
+                for (; k < past; ++k) trail.push_back(ts_[k].text);
                 continue;
             }
             if (t.kind == tok::identifier || is_punct(t, "&") || is_punct(t, "&&")) {
@@ -474,43 +429,19 @@ private:
         return false;
     }
 
-    bool ret_is_rng(const std::vector<std::string>& toks) const {
-        std::size_t i = 0;
-        while (i < toks.size() &&
-               (toks[i] == "const" || toks[i] == "levy" || toks[i] == "::" ||
-                is_decl_specifier(toks[i]))) {
-            ++i;
-        }
-        return i < toks.size() && toks[i] == "rng";
-    }
-
-    void parse_params(std::size_t begin, std::size_t end, std::vector<param_info>& out) {
+    /// Parameter names: per parameter, the last identifier before any
+    /// default argument.
+    void parse_params(std::size_t begin, std::size_t end, std::vector<std::string>& out) {
         if (begin >= end) return;
         std::size_t start = begin;
         auto emit = [&](std::size_t from, std::size_t to) {
             if (from >= to) return;
             if (to == from + 1 && is_ident(ts_[from], "void")) return;
-            param_info p;
-            std::size_t stop = to;  // exclude default arguments
-            for (std::size_t k = from; k < to; ++k) {
-                if (is_punct(ts_[k], "=")) {
-                    stop = k;
-                    break;
-                }
+            std::string name;
+            for (std::size_t k = from; k < to && !is_punct(ts_[k], "="); ++k) {
+                if (ts_[k].kind == tok::identifier) name = ts_[k].text;
             }
-            bool ref_or_ptr = false;
-            for (std::size_t k = from; k < stop; ++k) {
-                p.type.push_back(ts_[k].text);
-                if (is_punct(ts_[k], "&") || is_punct(ts_[k], "&&") || is_punct(ts_[k], "*")) {
-                    ref_or_ptr = true;
-                }
-                if (ts_[k].kind == tok::identifier) p.name = ts_[k].text;
-            }
-            p.by_value = !ref_or_ptr;
-            p.by_const_ref =
-                !p.by_value && range_has_ident(ts_, from, stop, "const");
-            p.is_rng = leading_type_is_rng(ts_, from, stop);
-            out.push_back(std::move(p));
+            out.push_back(std::move(name));
         };
         for (std::size_t k = begin; k < end; ++k) {
             const token& t = ts_[k];
@@ -590,11 +521,7 @@ private:
         if (j < end && is_punct(ts_[j], "(")) {
             const std::size_t params_past = match_group(ts_, j);
             if (params_past == j) return intro;
-            std::vector<param_info> ps;
-            parse_params(j + 1, params_past - 1, ps);
-            for (const param_info& p : ps) {
-                if (!p.name.empty()) lm.params.push_back(p.name);
-            }
+            parse_params(j + 1, params_past - 1, lm.params);
             j = params_past;
         }
         // mutable / noexcept / attributes / trailing return, then the body.
@@ -668,8 +595,6 @@ private:
     void record_call(int func_idx, int lambda_idx, std::size_t name_tok) {
         call_info c;
         c.callee = ts_[name_tok].text;
-        c.name_tok = name_tok;
-        c.line = ts_[name_tok].line;
         c.enclosing_func = func_idx;
         c.enclosing_lambda = lambda_idx;
         std::size_t q = name_tok;
@@ -681,13 +606,13 @@ private:
         if (q > 0 && (is_punct(ts_[q - 1], ".") || is_punct(ts_[q - 1], "->"))) {
             c.is_member = true;
         }
-        c.lparen = name_tok + 1;
-        const std::size_t past = match_group(ts_, c.lparen);
-        if (past == c.lparen) return;
-        c.rparen = past - 1;
+        const std::size_t lparen = name_tok + 1;
+        const std::size_t past = match_group(ts_, lparen);
+        if (past == lparen) return;
+        const std::size_t rparen = past - 1;
         // Top-level comma split of the argument list.
-        std::size_t start = c.lparen + 1;
-        for (std::size_t k = c.lparen + 1; k < c.rparen; ++k) {
+        std::size_t start = lparen + 1;
+        for (std::size_t k = lparen + 1; k < rparen; ++k) {
             if (is_punct(ts_[k], "(") || is_punct(ts_[k], "{") || is_punct(ts_[k], "[")) {
                 const std::size_t g = match_group(ts_, k);
                 if (g != k) {
@@ -697,7 +622,7 @@ private:
             }
             if (is_punct(ts_[k], "<")) {
                 const std::size_t g = skip_angles(ts_, k, 64);
-                if (g != k && g <= c.rparen) {
+                if (g != k && g <= rparen) {
                     k = g - 1;
                     continue;
                 }
@@ -707,72 +632,12 @@ private:
                 start = k + 1;
             }
         }
-        if (start < c.rparen) c.args.emplace_back(start, c.rparen);
-        for (const auto& [ab, ae] : c.args) c.arg_names.push_back(bare_ident_arg(ab, ae));
+        if (start < rparen) c.args.emplace_back(start, rparen);
+        for (const auto& [ab, ae] : c.args) {
+            const bool bare = ae == ab + 1 && ts_[ab].kind == tok::identifier;
+            c.arg_names.push_back(bare ? ts_[ab].text : std::string{});
+        }
         out_.calls.push_back(std::move(c));
-    }
-
-    /// "" unless [begin, end) is a single identifier, optionally followed by
-    /// one balanced [subscript] (`main_[w]` -> "main_").
-    std::string bare_ident_arg(std::size_t begin, std::size_t end) const {
-        if (begin >= end || ts_[begin].kind != tok::identifier) return {};
-        if (end == begin + 1) return ts_[begin].text;
-        if (is_punct(ts_[begin + 1], "[") && match_group(ts_, begin + 1) == end) {
-            return ts_[begin].text;
-        }
-        return {};
-    }
-
-    // --- substream derivations ----------------------------------------------
-
-    /// Record `D = M.substream(...)` and `rng D = M.substream(...)` inside a
-    /// body (subscripted left-hand sides count: `path_[w] = main_[w].substream`
-    /// derives `path_`).
-    void collect_derivations(std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i + 2 < end; ++i) {
-            if (!is_ident(ts_[i + 1], "substream") || !is_punct(ts_[i], ".") ||
-                !is_punct(ts_[i + 2], "(")) {
-                continue;
-            }
-            // Walk back across the receiver (ident, subscripts, :: chains) to
-            // the '=' introducing this derivation, then to the LHS name.
-            std::size_t k = i;  // at '.'
-            while (k > begin) {
-                const token& p = ts_[k - 1];
-                if (p.kind == tok::identifier || is_punct(p, "::") || is_punct(p, ".") ||
-                    is_punct(p, "->")) {
-                    --k;
-                    continue;
-                }
-                if (is_punct(p, "]")) {
-                    std::size_t open = k - 1;
-                    int depth = 0;
-                    while (open > begin) {
-                        if (is_punct(ts_[open], "]")) ++depth;
-                        if (is_punct(ts_[open], "[") && --depth == 0) break;
-                        --open;
-                    }
-                    k = open;
-                    continue;
-                }
-                break;
-            }
-            if (k == begin || !is_punct(ts_[k - 1], "=")) continue;
-            std::size_t lhs = k - 1;  // at '='
-            while (lhs > begin && is_punct(ts_[lhs - 1], "]")) {
-                std::size_t open = lhs - 1;
-                int depth = 0;
-                while (open > begin) {
-                    if (is_punct(ts_[open], "]")) ++depth;
-                    if (is_punct(ts_[open], "[") && --depth == 0) break;
-                    --open;
-                }
-                lhs = open;
-            }
-            if (lhs > begin && ts_[lhs - 1].kind == tok::identifier) {
-                out_.substream_derived.insert(ts_[lhs - 1].text);
-            }
-        }
     }
 
     const tokens_t& ts_;

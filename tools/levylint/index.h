@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -9,31 +8,25 @@
 
 // Pass 1 of the two-pass analyzer: a lightweight semantic index over the
 // token stream of one translation unit. It recovers just enough structure
-// for flow-aware rules — function declarations/definitions with parameter
-// shapes, call sites with argument ranges, lambdas with capture lists —
-// without becoming a C++ front end. Heuristics are deliberately bounded:
-// a construct the indexer cannot classify is simply absent from the index,
-// which at worst makes a rule miss (the right failure mode for a linter).
+// for the call-graph rules — function declarations/definitions with
+// parameter names, call sites with argument ranges, lambdas with capture
+// lists — without becoming a C++ front end. Heuristics are deliberately
+// bounded: a construct the indexer cannot classify is simply absent from
+// the index, which at worst makes a rule miss (the right failure mode for a
+// linter).
 //
 // The per-TU indexes are linked into a cross-TU call graph by callgraph.h.
 
 namespace levylint {
-
-/// One function parameter, as declared.
-struct param_info {
-    std::vector<std::string> type;  ///< type tokens, e.g. {"const", "rng", "&"}
-    std::string name;               ///< declarator name; empty for unnamed params
-    bool by_value = false;          ///< no '&', '&&' or '*' anywhere in the declarator
-    bool by_const_ref = false;      ///< 'const' present together with '&'
-    bool is_rng = false;            ///< type mentions the repo's `rng` stream class
-};
 
 /// A function declaration or definition.
 struct func_info {
     std::string name;   ///< unqualified name
     std::string qname;  ///< scope-qualified, e.g. "levy::sim::walk_engine::spawn"
     std::vector<std::string> ret;  ///< return-type tokens (empty for ctors/dtors)
-    std::vector<param_info> params;
+    /// Parameter names in order; an unnamed parameter yields the last
+    /// identifier of its type.
+    std::vector<std::string> params;
     int line = 1;
     /// Token range of the body `{...}` (begin = index of '{', end = one past
     /// the matching '}'); begin == end == 0 for a pure declaration.
@@ -41,7 +34,6 @@ struct func_info {
     std::size_t body_end = 0;
     bool is_definition = false;
     bool returns_unordered = false;  ///< return type is an unordered container
-    bool returns_rng = false;        ///< return type is the rng stream class
 };
 
 /// A lambda expression, attributed to its enclosing function.
@@ -65,17 +57,13 @@ struct call_info {
     std::string callee;              ///< last identifier before the '('
     std::vector<std::string> quals;  ///< leading a::b qualifiers, outermost first
     bool is_member = false;          ///< preceded by '.' or '->'
-    std::size_t name_tok = 0;        ///< token index of the callee identifier
-    std::size_t lparen = 0;          ///< token index of the '('
-    std::size_t rparen = 0;          ///< token index of the matching ')'
     /// Top-level comma-separated argument token ranges [first, last).
     std::vector<std::pair<std::size_t, std::size_t>> args;
-    /// Per argument: the identifier when the argument is a single bare name
-    /// (optionally with one [subscript] — `main_[w]` yields "main_"), else "".
+    /// Per argument: the identifier when the argument is a single bare
+    /// name, else "".
     std::vector<std::string> arg_names;
     int enclosing_func = -1;    ///< index into tu_index::funcs
     int enclosing_lambda = -1;  ///< index into tu_index::lambdas when inside one
-    int line = 1;
 };
 
 /// The semantic index of one translation unit.
@@ -84,14 +72,6 @@ struct tu_index {
     std::vector<func_info> funcs;
     std::vector<lambda_info> lambdas;
     std::vector<call_info> calls;
-    /// Names of class members whose declared type mentions `rng` (including
-    /// containers of streams, e.g. std::vector<rng>).
-    std::set<std::string> rng_members;
-    /// rng-typed names assigned from a `.substream(...)` expression inside
-    /// some function body here (constructor init lists deliberately do not
-    /// count: a per-phase substream must be rederived in the body, keyed by
-    /// the phase number — a ctor-init placeholder is not a derivation).
-    std::set<std::string> substream_derived;
 };
 
 /// Build the index for one lexed file. Never fails.

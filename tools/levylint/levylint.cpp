@@ -17,7 +17,6 @@
 //   levylint --list-rules                one-line summary per rule
 //   levylint --explain RULE              full rationale + how to fix
 //   levylint --self-test DIR             run the seeded-violation corpus
-//   levylint --ignore-suppressions       report even allow-annotated lines
 //
 // Exit status: 0 clean, 1 findings (or failed self-test), 2 usage/IO error.
 
@@ -109,7 +108,6 @@ void print_findings(std::ostream& out, const std::vector<finding>& fs_) {
 // --- tree scan -------------------------------------------------------------
 
 struct scan_options {
-    bool ignore_suppressions = false;
     std::string format = "text";  // "text" | "sarif"
     std::string output;           // empty = stdout
 };
@@ -140,8 +138,7 @@ int lint_tree(const fs::path& root, const std::vector<std::string>& paths,
     // Pass 2: rules per file, findings in file order.
     std::vector<finding> all;
     for (std::size_t i = 0; i < files.size(); ++i) {
-        std::vector<finding> found =
-            analyze(model, static_cast<int>(i), lexed[i], opt.ignore_suppressions);
+        std::vector<finding> found = analyze(model, static_cast<int>(i), lexed[i]);
         all.insert(all.end(), std::make_move_iterator(found.begin()),
                    std::make_move_iterator(found.end()));
     }
@@ -366,8 +363,6 @@ int main(int argc, char** argv) {
             return explain(next());
         } else if (arg == "--self-test") {
             return self_test(next());
-        } else if (arg == "--ignore-suppressions") {
-            opt.ignore_suppressions = true;
         } else if (arg.rfind("--format=", 0) == 0) {
             opt.format = arg.substr(9);
             if (opt.format != "text" && opt.format != "sarif") {
@@ -386,8 +381,7 @@ int main(int argc, char** argv) {
             opt.output = next();
         } else if (arg == "--help" || arg == "-h") {
             std::cout
-                << "usage: levylint [--root DIR] [--ignore-suppressions] [--format text|sarif]\n"
-                   "                [--output FILE] [paths...]\n"
+                << "usage: levylint [--root DIR] [--format text|sarif] [--output FILE] [paths...]\n"
                    "       levylint --list-rules | --explain RULE | --self-test DIR\n";
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {

@@ -108,55 +108,6 @@ const std::vector<rule_info>& registry() {
          "allocate, or handle the exception locally (growth inside a try block\n"
          "is not flagged). A call proven non-allocating may carry\n"
          "levylint:allow(throwing-call-in-noexcept) with a justification.\n"},
-        {"stream-by-value",
-         "copying an rng stream (by-value call, rng a = b, returning a member) forks it silently",
-         "An rng stream is 40 bytes of counter state; copying one forks the\n"
-         "stream, and both copies then replay the *same* draw sequence. The\n"
-         "PR 6 engine-parity contract (DESIGN.md 6.1) allows exactly one\n"
-         "ownership idiom: a stream is handed to its owner by value once, and\n"
-         "everyone else receives `const rng&` and derives independent children\n"
-         "with .substream(i). Passing a stream you keep using into a by-value\n"
-         "parameter, copy-initializing `rng a = b;`, or returning a member\n"
-         "stream by value creates correlated duplicate randomness that no test\n"
-         "can reliably catch.\n"
-         "\n"
-         "Fix: pass `const rng&` and .substream(i) inside the callee, or\n"
-         "std::move the stream when you genuinely hand it over. A deliberate\n"
-         "replay fork carries levylint:allow(stream-by-value) with the reason.\n"},
-        {"conditional-main-draw",
-         "main-stream draw inside data-dependent control flow (if/while/switch/ternary)",
-         "The batch engine replays the scalar engine's draw sequence walker by\n"
-         "walker; that only works because every walker's *main* stream advances\n"
-         "a draw count that is a pure function of (seed, trial index) — never\n"
-         "of data. A draw reachable inside an if/else, while, switch, or\n"
-         "ternary makes the draw count depend on the branch taken, so two\n"
-         "schedules (or engines) desynchronize the moment the predicate\n"
-         "differs. This is the exact bug class the PR 6 parity contract\n"
-         "(DESIGN.md 6.1) forbids. Plain counted for-loops are not flagged:\n"
-         "their trip counts are part of the deterministic schedule.\n"
-         "\n"
-         "Fix: hoist the draw above the branch, or move the data-dependent\n"
-         "draws onto a throwaway substream derived per phase\n"
-         "(s = stream.substream(phase)), which makes the main stream's count\n"
-         "branch-free again. A draw proven branch-invariant carries\n"
-         "levylint:allow(conditional-main-draw) with a one-line proof.\n"},
-        {"substream-discipline",
-         "path/tie draws not from a per-phase substream; main stream drawn after its substream",
-         "DESIGN.md 6.1: phase lengths and directions come from the walker's\n"
-         "main stream; the data-dependent tie coins inside path stepping come\n"
-         "from a throwaway substream rederived each phase\n"
-         "(stream.substream(phase)). Two violations break replay: (a) feeding\n"
-         "a path stepper's .advance() a stream that is not substream-derived\n"
-         "(its draw count then depends on the path taken), and (b) drawing\n"
-         "from a parent stream after drawing from a substream derived from it\n"
-         "in the same function — substream(i) is a pure function of the\n"
-         "parent's seed, so interleaving parent and child draws couples their\n"
-         "sequences in an order the batch engine cannot reproduce.\n"
-         "\n"
-         "Fix: rederive a substream per phase and give the stepper that; keep\n"
-         "parent draws textually before any derived-substream use. Scalar\n"
-         "baselines that deliberately walk on the main stream carry\n"
-         "levylint:allow(substream-discipline) with the reason.\n"},
         {"shared-mutation-in-parallel",
          "non-atomic write to a by-reference capture inside a parallel task lambda",
          "Lambdas handed to sim::parallel_for / thread_pool::run execute\n"
@@ -280,15 +231,6 @@ bool is_unordered_name(const token& t) {
                        [&](const char* n) { return t.text == n; });
 }
 
-/// rng draw methods: every call that consumes stream state. substream() and
-/// seed() are pure derivations and deliberately absent.
-bool is_draw_method(const std::string& m) {
-    static const char* kDraws[] = {"uniform",     "uniform_positive", "below",
-                                   "uniform_int", "coin",             "bernoulli"};
-    return std::any_of(std::begin(kDraws), std::end(kDraws),
-                       [&](const char* d) { return m == d; });
-}
-
 // ---------------------------------------------------------------------------
 // Suppressions
 
@@ -360,7 +302,6 @@ public:
         check_header_guard();
         check_unchecked_write();
         check_throwing_call_in_noexcept();
-        check_stream_rules();
         check_parallel_capture_rules();
         std::stable_sort(findings_.begin(), findings_.end(),
                          [](const finding& a, const finding& b) { return a.line < b.line; });
@@ -869,359 +810,6 @@ private:
                 }
             }
             if (open != 0) scan_noexcept_body(open);
-        }
-    }
-
-    // =======================================================================
-    // Flow-aware stream rules (stream-by-value, conditional-main-draw,
-    // substream-discipline) — per function definition, against the linked
-    // model.
-
-    /// rng-typed names visible inside one function: its rng parameters,
-    /// local `rng x`/`auto x = y.substream(...)` declarations, and (for
-    /// methods) every rng-typed class member in the project.
-    struct stream_scope {
-        std::set<std::string> names;
-        std::set<std::string> ref_params;  ///< the subset passed by reference
-    };
-
-    bool is_derived(const std::string& name) const {
-        return model_.derived_names.count(name) != 0;
-    }
-
-    stream_scope stream_scope_for(const func_info& fn) const {
-        stream_scope s;
-        for (const param_info& p : fn.params) {
-            if (!p.is_rng || p.name.empty()) continue;
-            s.names.insert(p.name);
-            if (!p.by_value) s.ref_params.insert(p.name);
-        }
-        s.names.insert(model_.rng_member_names.begin(), model_.rng_member_names.end());
-        for (std::size_t i = fn.body_begin + 1; i + 1 < fn.body_end; ++i) {
-            if (!is_ident(ts_[i], "rng") || ts_[i + 1].kind != tok::identifier) continue;
-            const token* after = at(ts_, i + 2);
-            if (after != nullptr && (is_punct(*after, "=") || is_punct(*after, ";") ||
-                                     is_punct(*after, "{") || is_punct(*after, "("))) {
-                s.names.insert(ts_[i + 1].text);
-            }
-        }
-        // `auto d = m.substream(...)` locals are rng-typed too; every
-        // substream-derived name is, by construction.
-        for (const std::string& d : model_.derived_names) s.names.insert(d);
-        return s;
-    }
-
-    /// One stream-state-consuming site: a draw method call on `var`, or
-    /// `var` passed by non-const reference into a resolved callee (which
-    /// draws through it).
-    struct draw_site {
-        std::size_t pos = 0;
-        std::string var;
-        int line = 0;
-    };
-
-    std::vector<draw_site> draw_sites(const func_info& fn, const stream_scope& s) const {
-        std::vector<draw_site> out;
-        for (std::size_t i = fn.body_begin + 1; i + 1 < fn.body_end; ++i) {
-            if (ts_[i].kind != tok::identifier || s.names.count(ts_[i].text) == 0) continue;
-            std::size_t j = i + 1;
-            if (j < fn.body_end && is_punct(ts_[j], "[")) {
-                const std::size_t g = match_group(ts_, j);
-                if (g == j) continue;
-                j = g;
-            }
-            if (j + 2 < fn.body_end && (is_punct(ts_[j], ".") || is_punct(ts_[j], "->")) &&
-                ts_[j + 1].kind == tok::identifier && is_punct(ts_[j + 2], "(") &&
-                is_draw_method(ts_[j + 1].text)) {
-                out.push_back({i, ts_[i].text, ts_[i].line});
-            }
-        }
-        // Reference-pass draws, through the call graph.
-        for (std::size_t c = 0; c < my().calls.size(); ++c) {
-            const call_info& call = my().calls[c];
-            if (call.name_tok <= fn.body_begin || call.name_tok >= fn.body_end) continue;
-            const auto& cands = model_.call_targets[tu_][c];
-            for (std::size_t a = 0; a < call.arg_names.size(); ++a) {
-                const std::string& v = call.arg_names[a];
-                if (v.empty() || s.names.count(v) == 0) continue;
-                bool draws = false;
-                for (const func_ref& r : cands) {
-                    const func_info& callee = model_.func(r);
-                    if (a < callee.params.size() && callee.params[a].is_rng &&
-                        !callee.params[a].by_value && !callee.params[a].by_const_ref) {
-                        draws = true;
-                    }
-                }
-                // The path-stepper sink draws even when unresolved (templates).
-                if (cands.empty() && call.is_member && call.callee == "advance") draws = true;
-                if (draws) out.push_back({call.name_tok, v, call.line});
-            }
-        }
-        std::sort(out.begin(), out.end(),
-                  [](const draw_site& a, const draw_site& b) { return a.pos < b.pos; });
-        return out;
-    }
-
-    /// Token mask over [body_begin, body_end): true where execution is
-    /// data-dependent — if/else bodies, while bodies *and conditions*
-    /// (iterations 2+ re-evaluate them), switch bodies, ternary arms.
-    /// Counted for-loops are deliberately unmarked: deterministic trip
-    /// counts are part of the schedule, not a divergence hazard.
-    std::vector<bool> conditional_mask(const func_info& fn) const {
-        const std::size_t b = fn.body_begin, e = fn.body_end;
-        std::vector<bool> mask(e - b, false);
-        auto mark = [&](std::size_t from, std::size_t to) {
-            for (std::size_t k = std::max(from, b); k < std::min(to, e); ++k) {
-                mask[k - b] = true;
-            }
-        };
-        auto stmt_end = [&](std::size_t from) {
-            std::size_t k = from;
-            while (k < e) {
-                const token& u = ts_[k];
-                if (is_punct(u, "(") || is_punct(u, "[") || is_punct(u, "{")) {
-                    const std::size_t g = match_group(ts_, k);
-                    if (g != k) {
-                        k = g;
-                        continue;
-                    }
-                }
-                if (is_punct(u, ";")) return k;
-                ++k;
-            }
-            return e;
-        };
-        auto mark_stmt_or_block = [&](std::size_t from) {
-            if (from < e && is_punct(ts_[from], "{")) {
-                const std::size_t g = match_group(ts_, from);
-                if (g != from) mark(from + 1, g - 1);
-                return;
-            }
-            mark(from, stmt_end(from));
-        };
-        for (std::size_t i = b; i < e; ++i) {
-            const token& t = ts_[i];
-            if (is_ident(t, "if") || is_ident(t, "while") || is_ident(t, "switch")) {
-                std::size_t lp = i + 1;
-                // `if constexpr` selects at compile time: not data-dependent.
-                if (is_ident(t, "if") && lp < e && is_ident(ts_[lp], "constexpr")) continue;
-                if (lp >= e || !is_punct(ts_[lp], "(")) continue;
-                const std::size_t past = match_group(ts_, lp);
-                if (past == lp) continue;
-                if (is_ident(t, "while")) mark(lp + 1, past - 1);
-                mark_stmt_or_block(past);
-            } else if (is_ident(t, "else")) {
-                if (i + 1 < e && is_ident(ts_[i + 1], "if")) continue;  // handled above
-                mark_stmt_or_block(i + 1);
-            } else if (is_ident(t, "do") && i + 1 < e && is_punct(ts_[i + 1], "{")) {
-                mark_stmt_or_block(i + 1);
-            } else if (is_punct(t, "?")) {
-                std::size_t k = i + 1;
-                while (k < e) {
-                    const token& u = ts_[k];
-                    if (is_punct(u, "(") || is_punct(u, "[") || is_punct(u, "{")) {
-                        const std::size_t g = match_group(ts_, k);
-                        if (g != k) {
-                            k = g;
-                            continue;
-                        }
-                    }
-                    if (is_punct(u, ";") || is_punct(u, ")") || is_punct(u, "}") ||
-                        is_punct(u, ",")) {
-                        break;
-                    }
-                    ++k;
-                }
-                mark(i + 1, k);
-            }
-        }
-        return mask;
-    }
-
-    void check_stream_rules() {
-        if (starts_with(path_, "src/rng/")) return;  // the stream substrate itself
-        for (const func_info& fn : my().funcs) {
-            if (!fn.is_definition) continue;
-            const stream_scope s = stream_scope_for(fn);
-            check_stream_by_value(fn, s);
-            if (s.names.empty()) continue;
-            check_conditional_main_draw(fn, s);
-            check_substream_discipline(fn, s);
-        }
-    }
-
-    void check_conditional_main_draw(const func_info& fn, const stream_scope& s) {
-        const std::vector<bool> mask = conditional_mask(fn);
-        for (const draw_site& d : draw_sites(fn, s)) {
-            if (is_derived(d.var)) continue;  // throwaway substream: draws may branch
-            if (d.pos <= fn.body_begin || d.pos >= fn.body_end) continue;
-            if (!mask[d.pos - fn.body_begin]) continue;
-            flag(d.line, "conditional-main-draw",
-                 "draw from main stream `" + d.var +
-                     "` inside data-dependent control flow: the stream's draw count now "
-                     "depends on the branch taken, which breaks scalar/batch replay "
-                     "(DESIGN.md 6.1); hoist the draw or move it onto a per-phase "
-                     "substream (stream.substream(phase))");
-        }
-    }
-
-    void check_substream_discipline(const func_info& fn, const stream_scope& s) {
-        // (a) the path-stepper sink: .advance(stream) must receive a
-        // substream-derived stream.
-        for (std::size_t c = 0; c < my().calls.size(); ++c) {
-            const call_info& call = my().calls[c];
-            if (call.name_tok <= fn.body_begin || call.name_tok >= fn.body_end) continue;
-            if (!call.is_member || call.callee != "advance") continue;
-            for (const std::string& v : call.arg_names) {
-                if (v.empty() || s.names.count(v) == 0 || is_derived(v)) continue;
-                flag(call.line, "substream-discipline",
-                     "path stepping draws its tie coins from `" + v +
-                         "`, which is not substream-derived: the main stream's draw count "
-                         "then depends on the path taken (DESIGN.md 6.1); pass a per-phase "
-                         "throwaway substream (stream.substream(phase)) instead");
-            }
-        }
-        // (b) parent draw after derived-substream draw in the same body.
-        std::map<std::string, std::pair<std::string, std::size_t>> parent_of;  // D -> (M, pos)
-        for (std::size_t i = fn.body_begin + 1; i + 2 < fn.body_end; ++i) {
-            if (!is_punct(ts_[i], ".") || !is_ident(ts_[i + 1], "substream") ||
-                !is_punct(ts_[i + 2], "(")) {
-                continue;
-            }
-            // receiver head and LHS name, as in the indexer's derivation scan
-            // but keeping both endpoints.
-            std::size_t k = i;
-            std::string receiver;
-            while (k > fn.body_begin) {
-                const token& p = ts_[k - 1];
-                if (p.kind == tok::identifier) {
-                    receiver = p.text;
-                    --k;
-                    continue;
-                }
-                if (is_punct(p, "::") || is_punct(p, ".") || is_punct(p, "->")) {
-                    --k;
-                    continue;
-                }
-                if (is_punct(p, "]")) {
-                    std::size_t open = k - 1;
-                    int depth = 0;
-                    while (open > fn.body_begin) {
-                        if (is_punct(ts_[open], "]")) ++depth;
-                        if (is_punct(ts_[open], "[") && --depth == 0) break;
-                        --open;
-                    }
-                    k = open;
-                    continue;
-                }
-                break;
-            }
-            if (k == fn.body_begin || !is_punct(ts_[k - 1], "=") || receiver.empty()) continue;
-            std::size_t lhs = k - 1;
-            while (lhs > fn.body_begin && is_punct(ts_[lhs - 1], "]")) {
-                std::size_t open = lhs - 1;
-                int depth = 0;
-                while (open > fn.body_begin) {
-                    if (is_punct(ts_[open], "]")) ++depth;
-                    if (is_punct(ts_[open], "[") && --depth == 0) break;
-                    --open;
-                }
-                lhs = open;
-            }
-            if (lhs > fn.body_begin && ts_[lhs - 1].kind == tok::identifier) {
-                parent_of[ts_[lhs - 1].text] = {receiver, i};
-            }
-        }
-        if (parent_of.empty()) return;
-        const std::vector<draw_site> draws = draw_sites(fn, s);
-        for (const auto& [child, pm] : parent_of) {
-            const auto& [parent, dpos] = pm;
-            std::size_t child_draw = 0;
-            for (const draw_site& d : draws) {
-                if (d.var == child && d.pos > dpos) {
-                    child_draw = d.pos;
-                    break;
-                }
-            }
-            if (child_draw == 0) continue;
-            for (const draw_site& d : draws) {
-                if (d.var == parent && d.pos > child_draw) {
-                    flag(d.line, "substream-discipline",
-                         "draw from `" + parent + "` after its derived substream `" + child +
-                             "` was already used: substream(i) is a pure function of the "
-                             "parent's seed, so interleaving parent and child draws couples "
-                             "their sequences (DESIGN.md 6.1); finish parent draws before "
-                             "deriving, or rederive the substream afterwards");
-                    break;
-                }
-            }
-        }
-    }
-
-    void check_stream_by_value(const func_info& fn, const stream_scope& s) {
-        // (A) `rng a = b;` / `auto a = b;` where b is a known stream: a
-        // silent fork — both sides replay the same sequence.
-        for (std::size_t i = fn.body_begin + 1; i + 4 < fn.body_end; ++i) {
-            if (!is_ident(ts_[i], "rng") && !is_ident(ts_[i], "auto")) continue;
-            if (ts_[i + 1].kind != tok::identifier || !is_punct(ts_[i + 2], "=")) continue;
-            if (ts_[i + 3].kind != tok::identifier || !is_punct(ts_[i + 4], ";")) continue;
-            const std::string& src_name = ts_[i + 3].text;
-            if (s.names.count(src_name) == 0) continue;
-            flag(ts_[i].line, "stream-by-value",
-                 "`" + ts_[i + 1].text + "` copy-initialized from stream `" + src_name +
-                     "` forks it: both copies replay the same draw sequence; derive an "
-                     "independent child with " + src_name +
-                     ".substream(i), or std::move a stream you are handing over");
-        }
-        // (B) call-site fork: passing a stream you keep using into a
-        // by-value rng parameter.
-        for (std::size_t c = 0; c < my().calls.size(); ++c) {
-            const call_info& call = my().calls[c];
-            if (call.name_tok <= fn.body_begin || call.name_tok >= fn.body_end) continue;
-            const auto& cands = model_.call_targets[tu_][c];
-            if (cands.empty()) continue;
-            for (std::size_t a = 0; a < call.arg_names.size(); ++a) {
-                const std::string& v = call.arg_names[a];
-                if (v.empty() || s.names.count(v) == 0) continue;
-                const bool all_by_value = std::all_of(
-                    cands.begin(), cands.end(), [&](const func_ref& r) {
-                        const func_info& callee = model_.func(r);
-                        return a < callee.params.size() && callee.params[a].is_rng &&
-                               callee.params[a].by_value;
-                    });
-                if (!all_by_value) continue;
-                bool used_later = false;
-                for (std::size_t k = call.rparen + 1; k < fn.body_end; ++k) {
-                    if (is_ident(ts_[k], v.c_str())) {
-                        used_later = true;
-                        break;
-                    }
-                }
-                if (!used_later) continue;
-                flag(call.line, "stream-by-value",
-                     "stream `" + v + "` is passed by value to " + call.callee +
-                         "() and used again afterwards: the callee's copy replays the same "
-                         "draws as every later use here; make the parameter `const rng&` "
-                         "and substream inside, or stop using the stream after handing it "
-                         "over");
-            }
-        }
-        // (C) returning a member / reference-parameter stream by value.
-        if (fn.returns_rng) {
-            for (std::size_t i = fn.body_begin + 1; i + 2 < fn.body_end; ++i) {
-                if (!is_ident(ts_[i], "return") || ts_[i + 1].kind != tok::identifier ||
-                    !is_punct(ts_[i + 2], ";")) {
-                    continue;
-                }
-                const std::string& v = ts_[i + 1].text;
-                if (model_.rng_member_names.count(v) == 0 && s.ref_params.count(v) == 0) {
-                    continue;
-                }
-                flag(ts_[i].line, "stream-by-value",
-                     "returning stream `" + v +
-                         "` by value forks it: caller and owner replay the same sequence; "
-                         "return a .substream(i) derivation instead");
-            }
         }
     }
 

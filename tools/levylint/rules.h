@@ -16,10 +16,9 @@
 //
 // Analysis is two-pass: pass 1 lexes and indexes every TU (index.h), the
 // linker joins them into a project_model (callgraph.h), and pass 2 runs the
-// rules per file against that model — so the flow-aware rules (stream
-// discipline, parallel-capture safety) see cross-TU facts: which callee
-// takes its rng by value, which lambdas run on the pool, which names are
-// substream-derived anywhere in the project.
+// rules per file against that model — so the call-graph rules see cross-TU
+// facts: which lambdas run on the pool, which callees return an unordered
+// container.
 //
 // Findings on a line are suppressed by `// levylint:allow(<rule>[, ...])`
 // on the same line, or on an immediately preceding comment-only line.
@@ -45,8 +44,8 @@ struct rule_info {
 
 /// All findings for one file, sorted by line. `tu` indexes the file inside
 /// `model` (its tu_index::path is the repo-root-relative path the
-/// path-scoped exemptions key off: src/rng/ may seed and owns the stream
-/// substrate, src/sim/thread_pool.* may touch std::thread).
+/// path-scoped exemptions key off: src/rng/ may seed, src/sim/thread_pool.*
+/// may touch std::thread).
 /// `ignore_suppressions` reports findings even on allow-annotated lines;
 /// the self-test uses it to prove the suppressed fixtures really violate.
 [[nodiscard]] std::vector<finding> analyze(const project_model& model, int tu,
