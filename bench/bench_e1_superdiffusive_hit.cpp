@@ -30,9 +30,6 @@ void run(const sim::run_options& opts) {
 
     stats::text_table table({"alpha", "ell", "budget", "trials", "P(hit) ± ci",
                              "paper shape", "meas/shape"});
-    sim::csv_writer csv = opts.csv_path.empty() ? sim::csv_writer{}
-                                                : sim::csv_writer{opts.csv_path};
-    csv.header({"alpha", "ell", "budget", "trials", "p_hit", "p_lo", "p_hi", "shape"});
 
     for (const double alpha : alphas) {
         std::vector<double> xs, ys;
@@ -53,9 +50,6 @@ void run(const sim::run_options& opts) {
                            stats::fmt(mc.trials),
                            stats::fmt_pm(p.estimate(), (p.hi - p.lo) / 2, 4),
                            stats::fmt_sci(shape), stats::fmt(p.estimate() / shape, 2)});
-            csv.row({stats::fmt(alpha, 2), stats::fmt(ell), stats::fmt(budget),
-                     stats::fmt(mc.trials), stats::fmt(p.estimate(), 6),
-                     stats::fmt(p.lo, 6), stats::fmt(p.hi, 6), stats::fmt_sci(shape)});
             xs.push_back(static_cast<double>(ell));
             ys.push_back(p.estimate());
         }

@@ -4,10 +4,10 @@
 // validates one statement of the paper: it prints the claim, sweeps the
 // statement's parameters, and emits a paper-vs-measured table plus one
 // throughput line (trials/s and worker utilization on the persistent pool).
-// All binaries accept --trials/--scale/--threads/--chunk/--seed/--csv plus
-// the observability flags --json/--json-dir/--trace (see sim::run_options)
-// and run with fast defaults suitable for
-// `for b in build/bench/*; do $b; done`.
+// All binaries accept --trials/--scale/--threads/--chunk/--seed plus the
+// observability flags --json/--json-dir/--trace (see sim::run_options), and
+// run with fast defaults suitable for `for b in build/bench/*; do $b; done`.
+// --json records every printed table row.
 
 #include <cstdint>
 #include <exception>

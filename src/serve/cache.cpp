@@ -13,18 +13,19 @@
 namespace levy::serve {
 namespace {
 
-/// On-disk layout (version 1; fixed-size records so a corrupt record can be
-/// skipped without losing framing):
-///   header : magic u64 "LVYRCACH" | version u32 | record_size u32
-///          | crc32(previous 16 bytes) u32
-///   record*: alpha_q i32 | budget_q i32 | ell i64 | k u64
-///          | probability f64 | ci_low f64 | ci_high f64 | trials u64
-///          | crc32(preceding 56 bytes) u32
-constexpr std::uint64_t kMagic = 0x4843'4143'5259'564cULL;  // "LVYRCACH" LE
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kRecordPayload = 56;
-constexpr std::size_t kRecordSize = kRecordPayload + 4;
-constexpr std::size_t kHeaderSize = 20;
+/// Grid pitches: α in steps of 1/32, budget in eighths of an octave.
+constexpr double kAlphaStep = 1.0 / 32;
+constexpr int kBudgetStepsPerOctave = 8;
+
+/// On disk the cache is a framed file (sim::frame_format) with no identity
+/// words; a record's payload is
+///   alpha_q i32 | budget_q i32 | ell i64 | k u64
+///   | probability f64 | ci_low f64 | ci_high f64 | trials u64
+const sim::frame_format kFormat{
+    .magic = 0x4843'4143'5259'564cULL,  // "LVYRCACH" LE
+    .version = 2,
+    .payload_bytes = 56,
+};
 
 double clamp01(double v) noexcept { return std::clamp(v, 0.0, 1.0); }
 
@@ -32,29 +33,26 @@ double clamp01(double v) noexcept { return std::clamp(v, 0.0, 1.0); }
 
 result_cache::result_cache(const cache_options& opts) : opts_(opts) {
     LEVY_PRECONDITION(opts_.capacity >= 1, "result_cache: capacity must be >= 1");
-    LEVY_PRECONDITION(opts_.alpha_step > 0.0, "result_cache: alpha_step must be > 0");
-    LEVY_PRECONDITION(opts_.budget_steps_per_octave >= 1,
-                      "result_cache: budget_steps_per_octave must be >= 1");
 }
 
 cache_key result_cache::quantize(double alpha, std::int64_t ell, std::uint64_t k,
                                  std::uint64_t budget) const noexcept {
     cache_key key;
-    key.alpha_q = static_cast<std::int32_t>(std::lround(alpha / opts_.alpha_step));
+    key.alpha_q = static_cast<std::int32_t>(std::lround(alpha / kAlphaStep));
     key.ell = ell;
     key.k = k;
     const double log_budget = std::log2(static_cast<double>(std::max<std::uint64_t>(budget, 1)));
     key.budget_q = static_cast<std::int32_t>(
-        std::lround(log_budget * opts_.budget_steps_per_octave));
+        std::lround(log_budget * kBudgetStepsPerOctave));
     return key;
 }
 
 double result_cache::alpha_of(std::int32_t alpha_q) const noexcept {
-    return static_cast<double>(alpha_q) * opts_.alpha_step;
+    return static_cast<double>(alpha_q) * kAlphaStep;
 }
 
 double result_cache::log2_budget_of(std::int32_t budget_q) const noexcept {
-    return static_cast<double>(budget_q) / opts_.budget_steps_per_octave;
+    return static_cast<double>(budget_q) / kBudgetStepsPerOctave;
 }
 
 void result_cache::touch_locked(std::map<cache_key, lru_list::iterator>::iterator it) {
@@ -81,9 +79,9 @@ std::optional<result_cache::interpolation> result_cache::interpolate(double alph
                                                                      std::uint64_t k,
                                                                      std::uint64_t budget) {
     std::lock_guard lk(m_);
-    const double a = alpha / opts_.alpha_step;
+    const double a = alpha / kAlphaStep;
     const double b = std::log2(static_cast<double>(std::max<std::uint64_t>(budget, 1))) *
-                     opts_.budget_steps_per_octave;
+                     kBudgetStepsPerOctave;
     const auto a0 = static_cast<std::int32_t>(std::floor(a));
     const auto b0 = static_cast<std::int32_t>(std::floor(b));
     const std::int32_t a1 = a0 + 1;
@@ -190,13 +188,9 @@ void result_cache::save(const std::string& path) {
     std::size_t ordinal = 0;
     {
         std::lock_guard lk(m_);
-        bytes.resize(kHeaderSize + lru_.size() * kRecordSize);
-        char* p = sim::store_le(bytes.data(), kMagic);
-        p = sim::store_le(p, kVersion);
-        p = sim::store_le(p, static_cast<std::uint32_t>(kRecordSize));
-        p = sim::store_le(p, sim::crc32(bytes.data(), kHeaderSize - 4));
-        for (const auto& [key, value] : lru_) {  // MRU first
-            char* const rec = p;
+        auto next = lru_.begin();  // MRU first
+        bytes = sim::write_frames(kFormat, lru_.size(), [&](char* p) {
+            const auto& [key, value] = *next++;
             p = sim::store_le(p, key.alpha_q);
             p = sim::store_le(p, key.budget_q);
             p = sim::store_le(p, key.ell);
@@ -204,42 +198,31 @@ void result_cache::save(const std::string& path) {
             p = sim::store_le(p, value.probability);
             p = sim::store_le(p, value.ci_low);
             p = sim::store_le(p, value.ci_high);
-            p = sim::store_le(p, value.trials);
-            p = sim::store_le(p, sim::crc32(rec, kRecordPayload));
-        }
+            sim::store_le(p, value.trials);
+        });
         dirty_ = 0;
-        ordinal = ++flush_ordinal_;
+        ordinal = flush_ordinal_++;
     }
     // The crash drill's hook point: a planned _Exit here dies with the new
     // bytes assembled but not yet renamed into place — exactly "between
-    // flushes". The previous on-disk cache must survive intact.
-    sim::fault_before_cache_flush(ordinal);
+    // flushes". The previous on-disk cache must survive intact. A planned
+    // short or torn write lands as planned; the next flush writes whole.
+    (void)sim::fault_on_checkpoint_flush(ordinal, bytes);
     sim::atomic_write_file(path, bytes);
 }
 
 std::size_t result_cache::load(const std::string& path) {
     std::vector<char> bytes;
     if (!sim::read_file(path, bytes)) bytes.clear();
+    const sim::frame_scan scan = sim::read_frames(bytes, kFormat);
     std::lock_guard lk(m_);
     lru_.clear();
     index_.clear();
     dirty_ = 0;
-    if (bytes.size() < kHeaderSize) return 0;
-    if (sim::load_le<std::uint64_t>(bytes.data()) != kMagic ||
-        sim::load_le<std::uint32_t>(bytes.data() + 8) != kVersion ||
-        sim::load_le<std::uint32_t>(bytes.data() + 12) != kRecordSize ||
-        sim::load_le<std::uint32_t>(bytes.data() + 16) != sim::crc32(bytes.data(), 16)) {
-        return 0;
-    }
     std::size_t kept = 0;
-    // Fixed-size records keep framing through corruption: a record whose CRC
-    // fails is skipped individually — its neighbors stay trustworthy.
-    for (std::size_t off = kHeaderSize; off + kRecordSize <= bytes.size();
-         off += kRecordSize) {
-        const char* rec = bytes.data() + off;
-        if (sim::load_le<std::uint32_t>(rec + kRecordPayload) != sim::crc32(rec, kRecordPayload)) {
-            continue;
-        }
+    for (const auto& [payload, intact] : scan.records) {
+        if (!intact) continue;  // a bad record drops itself, never its neighbors
+        const char* rec = payload.data();
         cache_key key;
         key.alpha_q = sim::load_le<std::int32_t>(rec);
         key.budget_q = sim::load_le<std::int32_t>(rec + 4);

@@ -19,18 +19,19 @@ namespace levy::serve {
 /// query (the two axes the hitting probability varies smoothly along;
 /// distinct (ℓ, k) are never mixed).
 ///
-/// Persistence rides the PR 3 crash-safety layer: the whole cache is
-/// serialized with a CRC-checked header and a CRC per fixed-size record,
-/// written via sim::atomic_write_file. Loading validates every record
-/// independently — a bit-flipped or torn record drops *itself*, never its
-/// neighbors, so a kill -9 between flushes costs at most the unflushed
-/// inserts and can never poison surviving answers.
+/// Persistence uses the journals' framed layout (sim::frame_format: a
+/// CRC-checked header and a CRC per fixed-size record), written via
+/// sim::atomic_write_file. Loading validates every record independently —
+/// a bit-flipped or torn record drops *itself*, never its neighbors, so a
+/// kill -9 between flushes costs at most the unflushed inserts and can
+/// never poison surviving answers.
 ///
 /// Thread safety: all public members lock; the cache is shared between
 /// server workers.
 
-/// Quantized key. `alpha_q` = round(α / alpha_step); `budget_q` =
-/// round(log2(budget) * steps_per_octave) (budget ≥ 1).
+/// Quantized key. `alpha_q` = round(32 α); `budget_q` =
+/// round(8 log2(budget)) (budget ≥ 1): α in steps of 1/32, budget in
+/// eighths of an octave.
 struct cache_key {
     std::int32_t alpha_q = 0;
     std::int64_t ell = 0;
@@ -58,16 +59,12 @@ struct cache_value {
 };
 
 struct cache_options {
-    std::size_t capacity = 4096;   ///< max entries (≥ 1); LRU eviction
-    double alpha_step = 1.0 / 32;  ///< α grid pitch
-    int budget_steps_per_octave = 8;
+    std::size_t capacity = 4096;  ///< max entries (≥ 1); LRU eviction
 };
 
 class result_cache {
 public:
     explicit result_cache(const cache_options& opts);
-
-    [[nodiscard]] const cache_options& options() const noexcept { return opts_; }
 
     /// Snap raw query coordinates onto the grid.
     [[nodiscard]] cache_key quantize(double alpha, std::int64_t ell, std::uint64_t k,
@@ -104,9 +101,9 @@ public:
 
     /// Serialize every entry (MRU first, so a truncated tail loses the
     /// coldest entries) and write crash-safely to `path`. Calls the
-    /// sim::fault_on_cache_flush hook with a monotonically increasing flush
-    /// ordinal — the levyserve crash drills _Exit there, *between* flushes
-    /// reaching disk. Throws std::runtime_error on I/O failure.
+    /// sim::fault_on_checkpoint_flush hook with this cache's flush ordinal,
+    /// counted from 0 — the levyserve crash drill _Exits there, *between*
+    /// flushes reaching disk. Throws std::runtime_error on I/O failure.
     void save(const std::string& path);
 
     /// Load `path`, replacing the current contents with every record whose

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <optional>
 #include <mutex>
 #include <stdexcept>
@@ -135,6 +136,13 @@ server::~server() { stop(); }
 unsigned short server::start() {
     if (impl_->running.load()) throw std::logic_error("serve: server already running");
     if (!opts_.cache_path.empty()) {
+        // A directory would load as missing, then fail every flush.
+        std::error_code ec;
+        const auto status = std::filesystem::status(opts_.cache_path, ec);
+        if (std::filesystem::exists(status) && !std::filesystem::is_regular_file(status)) {
+            throw std::runtime_error("serve: cache path is not a regular file: " +
+                                     opts_.cache_path);
+        }
         cache_.load(opts_.cache_path);  // missing/corrupt file loads nothing
     }
     auto [fd, port] = listen_on(opts_.port);

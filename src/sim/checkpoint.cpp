@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
@@ -23,12 +24,15 @@
 namespace levy::sim {
 namespace {
 
-constexpr std::uint64_t kMagic = 0x4c56594a4f55524eULL;  // "LVYJOURN" big-endian bytes
-constexpr std::uint32_t kVersion = 1;
-/// Header bytes for `key`: magic, version, payload size, seed, trials, the
-/// context words, and the trailing header CRC.
-std::size_t header_bytes(const journal_key& key) noexcept {
-    return 8 + 4 + 4 + 8 + 8 + 8 * key.context.size() + 4;
+/// A journal's framing ("LVYJOURN", version 2): its key is the identity,
+/// and a record's payload is its trial index followed by the result bytes.
+frame_format journal_format(const journal_key& key) {
+    frame_format format{.magic = 0x4c56594a4f55524eULL,  // "LVYJOURN" big-endian bytes
+                        .version = 2,
+                        .payload_bytes = 8 + key.payload_size,
+                        .identity = {key.seed, key.trials}};
+    format.identity.insert(format.identity.end(), key.context.begin(), key.context.end());
+    return format;
 }
 
 /// Slicing-by-8 tables: kCrc[0] is the bytewise CRC-32 table, and
@@ -48,6 +52,36 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc = [] {
     }
     return t;
 }();
+
+/// The commit step of atomic_write_file: rename the complete, fsync'd `tmp`
+/// over `path`, then fsync the parent directory. Throws std::runtime_error
+/// on failure; a failed rename removes `tmp`.
+void durable_rename(const std::string& tmp, const std::string& path) {
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        throw std::runtime_error("durable_rename: cannot rename " + tmp + " -> " + path);
+    }
+#if LEVY_HAVE_FSYNC
+    // The rename is atomic but not durable until the *directory entry* is on
+    // disk: POSIX only persists a rename once the parent directory has been
+    // fsynced, so without this a power cut after a "successful" commit could
+    // leave the old file — or no file at all. Tests pin the rule through
+    // dir_fsync_count() (fault.h).
+    const std::size_t slash = path.find_last_of('/');
+    const std::string dir =
+        slash == std::string::npos ? std::string(".") : path.substr(0, slash == 0 ? 1 : slash);
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd < 0) {
+        throw std::runtime_error("durable_rename: cannot open parent dir " + dir);
+    }
+    const bool synced = ::fsync(dfd) == 0;
+    ::close(dfd);
+    if (!synced) {
+        throw std::runtime_error("durable_rename: fsync of parent dir " + dir + " failed");
+    }
+    note_dir_fsync();
+#endif
+}
 
 }  // namespace
 
@@ -84,34 +118,10 @@ void atomic_write_file(const std::string& path, const std::vector<char>& bytes) 
     durable_rename(tmp, path);
 }
 
-void durable_rename(const std::string& tmp, const std::string& path) {
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("durable_rename: cannot rename " + tmp + " -> " + path);
-    }
-#if LEVY_HAVE_FSYNC
-    // The rename is atomic but not durable until the *directory entry* is on
-    // disk: POSIX only persists a rename once the parent directory has been
-    // fsynced, so without this a power cut after a "successful" commit could
-    // leave the old file — or no file at all. Tests pin the rule through
-    // dir_fsync_count() (fault.h).
-    const std::size_t slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? std::string(".") : path.substr(0, slash == 0 ? 1 : slash);
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd < 0) {
-        throw std::runtime_error("durable_rename: cannot open parent dir " + dir);
-    }
-    const bool synced = ::fsync(dfd) == 0;
-    ::close(dfd);
-    if (!synced) {
-        throw std::runtime_error("durable_rename: fsync of parent dir " + dir + " failed");
-    }
-    note_dir_fsync();
-#endif
-}
-
 bool read_file(const std::string& path, std::vector<char>& out) {
+    // A directory opens, and on ext4 its size reads as 2^63 - 1.
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec)) return false;
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) return false;
     bool ok = std::fseek(f, 0, SEEK_END) == 0;
@@ -125,52 +135,69 @@ bool read_file(const std::string& path, std::vector<char>& out) {
     return ok;
 }
 
+std::vector<char> write_frames(const frame_format& format, std::size_t records,
+                               const std::function<void(char*)>& fill) {
+    const std::size_t header = 8 + 4 + 4 + 8 * format.identity.size() + 4;
+    const std::size_t record = format.payload_bytes + std::size_t{4};
+    std::vector<char> bytes(header + records * record);
+    char* p = store_le(bytes.data(), format.magic);
+    p = store_le(p, format.version);
+    p = store_le(p, static_cast<std::uint32_t>(record));
+    for (const std::uint64_t word : format.identity) p = store_le(p, word);
+    p = store_le(p, crc32(bytes.data(), header - 4));
+    for (std::size_t i = 0; i < records; ++i, p += record) {
+        fill(p);
+        store_le(p + format.payload_bytes, crc32(p, format.payload_bytes));
+    }
+    return bytes;
+}
+
+frame_scan read_frames(std::span<const char> file, const frame_format& format) {
+    frame_scan out;
+    // The header this format writes. A sound header with the same magic and
+    // version that differs from it belongs to another file.
+    const std::vector<char> own = write_frames(format, 0, nullptr);
+    const std::size_t record = format.payload_bytes + std::size_t{4};
+    const char* p = file.data();
+    if (file.size() < own.size() || !std::equal(own.begin(), own.begin() + 12, p) ||
+        load_le<std::uint32_t>(p + own.size() - 4) != crc32(p, own.size() - 4)) {
+        return out;
+    }
+    if (!std::equal(own.begin(), own.end(), p)) {
+        out.header = frame_header::foreign;
+        return out;
+    }
+    out.header = frame_header::matching;
+    std::size_t off = own.size();
+    for (; off + record <= file.size(); off += record) {
+        const std::span<const char> payload = file.subspan(off, format.payload_bytes);
+        const auto stored = load_le<std::uint32_t>(p + off + format.payload_bytes);
+        out.records.push_back({payload, crc32(payload.data(), payload.size()) == stored});
+    }
+    out.partial_tail = off != file.size();
+    return out;
+}
+
 journal_contents load_journal(const std::string& path, const journal_key& key) {
     journal_contents out;
     std::vector<char> bytes;
     if (!read_file(path, bytes)) return out;  // no journal yet: clean fresh start
-
-    const std::size_t header = header_bytes(key);
-    if (bytes.size() < header) {
-        out.dropped_tail = true;  // cut short of a header: recompute all
-        return out;
-    }
-    const char* p = bytes.data();
-    if (load_le<std::uint64_t>(p) != kMagic || load_le<std::uint32_t>(p + 8) != kVersion ||
-        crc32(p, header - 4) != load_le<std::uint32_t>(p + header - 4)) {
-        out.dropped_tail = true;  // unrecognizable or rotted header: recompute all
-        return out;
-    }
-    const auto payload_size = load_le<std::uint32_t>(p + 12);
-    const auto seed = load_le<std::uint64_t>(p + 16);
-    const auto trials = load_le<std::uint64_t>(p + 24);
-    bool same_run = payload_size == key.payload_size && seed == key.seed && trials == key.trials;
-    for (std::size_t i = 0; i < key.context.size(); ++i) {
-        same_run = same_run && load_le<std::uint64_t>(p + 32 + 8 * i) == key.context[i];
-    }
-    if (!same_run) return out;  // journal of a different run: ignore it wholesale
-    out.matched = true;
-
-    const std::size_t record_bytes = 8 + static_cast<std::size_t>(payload_size) + 4;
-    std::size_t off = header;
-    std::uint64_t prev_index = 0;
-    bool first = true;
-    while (off + record_bytes <= bytes.size()) {
-        const char* rec = p + off;
-        const auto index = load_le<std::uint64_t>(rec);
-        const auto stored = load_le<std::uint32_t>(rec + 8 + payload_size);
+    const frame_scan scan = read_frames(bytes, journal_format(key));
+    // A corrupt header recomputes everything; the journal of a different
+    // run is ignored wholesale.
+    out.matched = scan.header == frame_header::matching;
+    out.dropped_tail = scan.header == frame_header::corrupt || scan.partial_tail;
+    for (const auto& [payload, intact] : scan.records) {
+        const auto index = load_le<std::uint64_t>(payload.data());
         // Records are written sorted and unique; anything else is corruption.
-        const bool ordered = first || index > prev_index;
-        if (index >= key.trials || !ordered || crc32(rec, 8 + payload_size) != stored) {
+        const bool ordered = out.records.empty() || index > out.records.rbegin()->first;
+        if (!intact || index >= key.trials || !ordered) {
             out.dropped_tail = true;
-            return out;
+            break;
         }
-        out.records.emplace(index, std::vector<char>(rec + 8, rec + 8 + payload_size));
-        prev_index = index;
-        first = false;
-        off += record_bytes;
+        out.records.emplace_hint(out.records.end(), index,
+                                 std::vector<char>(payload.begin() + 8, payload.end()));
     }
-    if (off != bytes.size()) out.dropped_tail = true;  // trailing partial record
     return out;
 }
 
@@ -268,20 +295,11 @@ std::uint64_t trial_journal::flushed_bytes() const {
 }
 
 void trial_journal::flush_locked() {
-    const std::size_t header = header_bytes(key_);
-    std::vector<char> bytes(header + records_.size() * (12 + key_.payload_size));
-    char* p = store_le(bytes.data(), kMagic);
-    p = store_le(p, kVersion);
-    p = store_le(p, key_.payload_size);
-    p = store_le(p, key_.seed);
-    p = store_le(p, key_.trials);
-    for (const std::uint64_t word : key_.context) p = store_le(p, word);
-    p = store_le(p, crc32(bytes.data(), header - 4));
-    for (const auto& [index, payload] : records_) {
-        char* const rec = p;
-        p = std::copy(payload.begin(), payload.end(), store_le(p, index));
-        p = store_le(p, crc32(rec, 8 + payload.size()));
-    }
+    auto next = records_.begin();
+    std::vector<char> bytes = write_frames(journal_format(key_), records_.size(), [&](char* p) {
+        const auto& [index, payload] = *next++;
+        std::copy(payload.begin(), payload.end(), store_le(p, index));
+    });
     // A planned short/torn write (fault.h) corrupts this flush exactly the
     // way a dying disk would — after the mutated bytes land, the journal
     // goes silently dead so the corruption survives for the next run's

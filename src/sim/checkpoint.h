@@ -3,19 +3,20 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace levy::sim {
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `len` bytes. Used to
-/// checksum every journal header and record — the Monte-Carlo journal and
-/// the out-of-core block journal — and the cache file, so torn or
-/// bit-rotted files are detected at load instead of silently corrupting
-/// tables. Slicing-by-8: eight bytes per table step, the
-/// same values as the bytewise definition.
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `len` bytes. Checksums
+/// the header and every record of a framed file (see frame_format), so torn
+/// or bit-rotted files are detected at load instead of silently corrupting
+/// tables. Slicing-by-8: eight bytes per table step, the same values as the
+/// bytewise definition.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len) noexcept;
 
 /// Write `bytes` to `path` crash-safely: the content goes to `<path>.tmp`,
@@ -24,19 +25,61 @@ namespace levy::sim {
 /// holds a complete previous version or a complete new version, and a
 /// version that was reported written survives power loss (POSIX persists a
 /// rename only once the directory entry is synced; see DESIGN.md §11).
+/// The tree's one crash-safe writer: journals, the result cache, JSON
+/// results, traces and levyserve's port file all go through it.
 /// Throws std::runtime_error on I/O failure (the temp file is removed).
 void atomic_write_file(const std::string& path, const std::vector<char>& bytes);
 
-/// The commit step of every crash-safe write (atomic_write_file, the CSV
-/// writer): rename the complete, fsync'd `tmp` over `path`, then fsync the
-/// parent directory. Throws std::runtime_error on failure; a failed rename
-/// removes `tmp`.
-void durable_rename(const std::string& tmp, const std::string& path);
-
 /// Replace `out` with the whole content of `path`, in one sized read (a
-/// reused `out` keeps its capacity). False when the file cannot be opened
-/// or read in full; `out`'s content is then unspecified.
+/// reused `out` keeps its capacity). False when `path` is not a regular
+/// file or cannot be read in full; `out`'s content is then unspecified.
 [[nodiscard]] bool read_file(const std::string& path, std::vector<char>& out);
+
+/// The one framed layout of every binary file the tree persists: the
+/// Monte-Carlo journal, the out-of-core block journal (both trial_journal)
+/// and levyserve's result cache (serve/cache.h). All integers little-endian:
+///
+///     header  : magic u64 | version u32 | record bytes (payload_bytes + 4) u32
+///             | identity u64 × |identity| | crc32(everything before it) u32
+///     record* : payload (payload_bytes) | crc32(payload) u32
+///
+/// Records share one size, so a record that fails its CRC keeps the framing
+/// of the records after it. What a bad record means is the caller's policy:
+/// a journal stops at its first, the cache skips each on its own.
+struct frame_format {
+    std::uint64_t magic = 0;
+    std::uint32_t version = 0;
+    std::uint32_t payload_bytes = 0;           ///< per record, before its CRC
+    std::vector<std::uint64_t> identity = {};  ///< words a reader must match
+};
+
+/// The image of a framed file with `records` records: `fill(payload)` is
+/// called once per record, in file order, to write its payload_bytes.
+[[nodiscard]] std::vector<char> write_frames(const frame_format& format, std::size_t records,
+                                             const std::function<void(char*)>& fill);
+
+/// How a file's header compares with the format a reader expects.
+enum class frame_header {
+    corrupt,   ///< too short, another magic or version, or a bad header CRC
+    foreign,   ///< a sound header of another record size or identity
+    matching,
+};
+
+/// What read_frames found. Payloads are views into the bytes it scanned.
+struct frame_scan {
+    frame_header header = frame_header::corrupt;
+    struct record {
+        std::span<const char> payload;
+        bool intact = false;  ///< its CRC matches
+    };
+    /// After a matching header: every whole record, in file order.
+    std::vector<record> records;
+    /// After a matching header: bytes that trail the last whole record.
+    bool partial_tail = false;
+};
+
+/// Scan `file` as framed by `format`. Never throws on corrupt input.
+[[nodiscard]] frame_scan read_frames(std::span<const char> file, const frame_format& format);
 
 /// Identity of a journaled run for resume purposes. A journal written
 /// under one key is ignored (and later overwritten) by a run with any other
@@ -65,21 +108,19 @@ struct journal_contents {
 };
 
 /// Parse the journal at `path` against `key`. Never throws on corrupt
-/// input: a missing file, foreign magic, bad header CRC, or key mismatch
-/// yields `matched == false` and no records; a corrupt record drops itself
-/// and everything after it (`dropped_tail == true`, as for a file cut short
-/// of its header or with a rotted one). Exposed separately from
-/// trial_journal so tests can probe recovery byte by byte.
+/// input: a missing file, a corrupt header or a foreign one (another key)
+/// yields `matched == false` and no records; the first record that fails
+/// its CRC or is out of order drops itself and everything after it
+/// (`dropped_tail == true`, as for a partial trailing record or a corrupt
+/// header). Exposed separately from trial_journal so tests can probe
+/// recovery byte by byte.
 [[nodiscard]] journal_contents load_journal(const std::string& path, const journal_key& key);
 
 /// Append-only journal of completed trial results, persisted crash-safely.
 ///
-/// The on-disk format (version 1, all integers little-endian):
-///
-///     header  : magic u64 "LVYJOURN" | version u32 | payload_size u32
-///             | seed u64 | trials u64 | context u64 × |key.context|
-///             | crc32(everything before it) u32
-///     record* : trial_index u64 | payload bytes | crc32(index|payload) u32
+/// The on-disk format is a framed file (frame_format; magic "LVYJOURN",
+/// version 2) whose identity is seed | trials | context words, and whose
+/// record payload is trial_index u64 | payload_size result bytes.
 ///
 /// Records are kept sorted by trial index and the whole file is rewritten
 /// through `atomic_write_file` on every flush, so the journal on disk is

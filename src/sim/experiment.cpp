@@ -3,24 +3,15 @@
 #include <charconv>
 #include <cmath>
 #include <csignal>
-#include <filesystem>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define LEVY_HAVE_FSYNC 1
-#else
-#define LEVY_HAVE_FSYNC 0
-#endif
-
 #include "src/core/contracts.h"
 #include "src/obs/metrics.h"
 #include "src/rng/splitmix64.h"
-#include "src/sim/checkpoint.h"
 
 namespace levy::sim {
 namespace {
@@ -37,9 +28,6 @@ T parse_number(std::string_view text, std::string_view flag) {
     }
     return value;
 }
-
-/// fsync every this many rows: bounded loss on kill without a syscall per row.
-constexpr std::size_t kCsvSyncBatch = 64;
 
 /// Byte count with an optional binary-multiple suffix: "64M", "2G", "4096".
 std::uint64_t parse_bytes(std::string_view text, std::string_view flag) {
@@ -152,8 +140,6 @@ run_options parse_run_options(int argc, char** argv) {
             opts.chunk = parse_number<std::size_t>(k, "chunk");
         } else if (auto x = eat("--seed"); !x.empty()) {
             opts.seed = parse_number<std::uint64_t>(x, "seed");
-        } else if (auto c = eat("--csv"); !c.empty()) {
-            opts.csv_path = std::string(c);
         } else if (auto d = eat("--checkpoint"); !d.empty()) {
             opts.checkpoint_dir = std::string(d);
         } else if (auto n = eat("--checkpoint-interval"); !n.empty()) {
@@ -205,18 +191,16 @@ run_options parse_run_options(int argc, char** argv) {
             opts.memory_budget = parse_bytes(mb, "memory-budget");
         } else if (auto sd = eat("--spill-dir"); !sd.empty()) {
             opts.spill_dir = std::string(sd);
-        } else if (auto sr = eat("--sync-rounds"); !sr.empty()) {
-            opts.sync_rounds = parse_number<std::size_t>(sr, "sync-rounds");
         } else if (auto es = eat("--epoch-steps"); !es.empty()) {
             opts.epoch_steps = parse_number<std::uint64_t>(es, "epoch-steps");
         } else if (arg == "--help" || arg == "-h") {
             throw std::invalid_argument(
                 "usage: [--trials=N] [--scale=S] [--threads=T] [--chunk=C] [--seed=X] "
-                "[--csv=PATH] [--checkpoint=DIR] [--checkpoint-interval=K] "
-                "[--max-steps-per-trial=M] [--json=PATH|-] [--json-dir=DIR] [--trace=PATH] "
-                "[--progress[=SECS]] [--metrics-port=P] [--engine=scalar|batch] [--cap=C] "
-                "[--deadline-ms=D] [--queue-capacity=Q] [--shards=S] [--memory-budget=B] "
-                "[--spill-dir=DIR] [--sync-rounds=R] [--epoch-steps=N]");
+                "[--checkpoint=DIR] [--checkpoint-interval=K] [--max-steps-per-trial=M] "
+                "[--json=PATH|-] [--json-dir=DIR] [--trace=PATH] [--progress[=SECS]] "
+                "[--metrics-port=P] [--engine=scalar|batch] [--cap=C] [--deadline-ms=D] "
+                "[--queue-capacity=Q] [--shards=S] [--memory-budget=B] [--spill-dir=DIR] "
+                "[--epoch-steps=N]");
         } else {
             throw std::invalid_argument("unknown argument: " + std::string(arg));
         }
@@ -258,7 +242,6 @@ std::vector<std::pair<std::string, std::string>> describe_options(const run_opti
     out.emplace_back("threads", std::to_string(opts.threads));
     out.emplace_back("chunk", std::to_string(opts.chunk));
     out.emplace_back("seed", "0x" + hex64(opts.seed));
-    if (!opts.csv_path.empty()) out.emplace_back("csv", opts.csv_path);
     if (!opts.checkpoint_dir.empty()) {
         out.emplace_back("checkpoint", opts.checkpoint_dir);
         out.emplace_back("checkpoint-interval", std::to_string(opts.checkpoint_interval));
@@ -288,102 +271,10 @@ std::vector<std::pair<std::string, std::string>> describe_options(const run_opti
         out.emplace_back("memory-budget", std::to_string(opts.memory_budget));
     }
     if (!opts.spill_dir.empty()) out.emplace_back("spill-dir", opts.spill_dir);
-    if (opts.sync_rounds != 1) {
-        out.emplace_back("sync-rounds", std::to_string(opts.sync_rounds));
-    }
     if (opts.epoch_steps != 0) {
         out.emplace_back("epoch-steps", std::to_string(opts.epoch_steps));
     }
     return out;
-}
-
-csv_writer::csv_writer(const std::string& path) : path_(path) {
-    const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-    LEVY_PRECONDITION(parent.empty() || std::filesystem::is_directory(parent),
-                      "csv_writer: parent directory of --csv path does not exist: " + path);
-    const std::string tmp = path_ + ".tmp";
-    out_ = std::fopen(tmp.c_str(), "wb");
-    if (out_ == nullptr) throw std::runtime_error("csv_writer: cannot open " + tmp);
-}
-
-csv_writer::csv_writer(csv_writer&& other) noexcept
-    : path_(std::move(other.path_)),
-      out_(other.out_),
-      rows_since_sync_(other.rows_since_sync_) {
-    other.out_ = nullptr;
-}
-
-csv_writer& csv_writer::operator=(csv_writer&& other) noexcept {
-    if (this != &other) {
-        try {
-            close();
-        } catch (...) {
-        }
-        path_ = std::move(other.path_);
-        out_ = other.out_;
-        rows_since_sync_ = other.rows_since_sync_;
-        other.out_ = nullptr;
-    }
-    return *this;
-}
-
-csv_writer::~csv_writer() {
-    try {
-        close();
-    } catch (...) {
-        // Destructor commit is best effort; call close() for loud failures.
-    }
-}
-
-void csv_writer::close() {
-    if (!active()) return;
-    std::FILE* f = out_;
-    out_ = nullptr;
-    bool ok = std::fflush(f) == 0;
-#if LEVY_HAVE_FSYNC
-    ok = ::fsync(::fileno(f)) == 0 && ok;
-#endif
-    ok = std::fclose(f) == 0 && ok;
-    const std::string tmp = path_ + ".tmp";
-    if (!ok) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("csv_writer: failed writing " + tmp);
-    }
-    durable_rename(tmp, path_);
-}
-
-void csv_writer::header(const std::vector<std::string>& cells) { line(cells); }
-void csv_writer::row(const std::vector<std::string>& cells) { line(cells); }
-
-void csv_writer::line(const std::vector<std::string>& cells) {
-    if (!active()) return;
-    std::string buf;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i != 0) buf += ',';
-        const std::string& cell = cells[i];
-        if (cell.find_first_of(",\"\n") != std::string::npos) {
-            buf += '"';
-            for (char ch : cell) {
-                if (ch == '"') buf += '"';
-                buf += ch;
-            }
-            buf += '"';
-        } else {
-            buf += cell;
-        }
-    }
-    buf += '\n';
-    if (std::fwrite(buf.data(), 1, buf.size(), out_) != buf.size()) {
-        throw std::runtime_error("csv_writer: short write to " + path_ + ".tmp");
-    }
-    if (++rows_since_sync_ >= kCsvSyncBatch) {
-        rows_since_sync_ = 0;
-        bool ok = std::fflush(out_) == 0;
-#if LEVY_HAVE_FSYNC
-        ok = ::fsync(::fileno(out_)) == 0 && ok;
-#endif
-        if (!ok) throw std::runtime_error("csv_writer: flush failed for " + path_ + ".tmp");
-    }
 }
 
 }  // namespace levy::sim

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +16,6 @@ namespace levy::sim {
 ///   --threads=T             worker threads (0 = hardware concurrency)
 ///   --chunk=C               work-queue chunk size (0 = auto)
 ///   --seed=X                master seed
-///   --csv=PATH              also write rows as CSV to PATH (crash-safe:
-///                           written to PATH.tmp, atomically renamed on close)
 ///   --checkpoint=DIR        journal completed trials into DIR; a rerun with
 ///                           the same flags resumes and reproduces the output
 ///                           bit-identically (SIGTERM also checkpoints and
@@ -65,11 +62,9 @@ namespace levy::sim {
 ///                           K/M/G/T = binary multiples); raises the block
 ///                           count until one block fits; 0 = unlimited
 ///   --spill-dir=DIR         where out-of-core trials keep their block
-///                           journal, to resume a killed run from (default:
-///                           none — nothing is written)
-///   --sync-rounds=R         finished blocks per journal flush (default 1:
-///                           a kill -9 loses at most the block in progress;
-///                           0 = no journal)
+///                           journal, flushed after every finished block, to
+///                           resume a killed run from (default: none —
+///                           nothing is written)
 ///   --epoch-steps=N         steps a walker advances per epoch inside a
 ///                           block (default 0 = whole phases); results are
 ///                           invariant under it
@@ -81,7 +76,6 @@ struct run_options {
     unsigned threads = 0;
     std::size_t chunk = 0;  ///< 0 = auto
     std::uint64_t seed = kDefaultSeed;
-    std::string csv_path;
     std::string checkpoint_dir;            ///< empty = no checkpointing
     std::size_t checkpoint_interval = 256; ///< journal flush cadence (trials)
     std::uint64_t max_trial_steps = 0;     ///< watchdog step cap (0 = off)
@@ -97,7 +91,6 @@ struct run_options {
     std::size_t shards = 0;                   ///< --shards (<= 1 = in-memory)
     std::uint64_t memory_budget = 0;          ///< --memory-budget bytes (0 = unlimited)
     std::string spill_dir;                    ///< --spill-dir (empty = no journal)
-    std::size_t sync_rounds = 1;              ///< --sync-rounds (blocks per flush; 0 = no journal)
     std::uint64_t epoch_steps = 0;            ///< --epoch-steps (0 = whole phases)
 
     /// Copy the out-of-core knobs into a parallel-trial config (helper so
@@ -106,7 +99,6 @@ struct run_options {
         cfg.shards = shards;
         cfg.memory_budget = memory_budget;
         cfg.spill_dir = spill_dir;
-        cfg.sync_rounds = sync_rounds;
         cfg.epoch_steps = epoch_steps;
     }
 
@@ -148,43 +140,5 @@ void cancel_on_sigterm() noexcept;
 /// 93% utilization)". Censored trials, if any, are appended so watchdog
 /// truncation is always visible. Empty when no trials ran.
 [[nodiscard]] std::string format_throughput(const run_metrics& m);
-
-/// Minimal CSV writer for experiment rows (RFC-4180 quoting for cells that
-/// need it). A default-constructed writer is inert, so benches can
-/// unconditionally call `row()` whether or not --csv was given.
-///
-/// Crash-safe: rows stream to `<path>.tmp` (flushed and fsync'd every few
-/// rows), and the file is atomically renamed to `path` on close()/
-/// destruction — a reader never observes a torn CSV, and a killed run
-/// leaves any previous complete CSV untouched.
-class csv_writer {
-public:
-    csv_writer() = default;
-    /// Requires the parent directory of `path` to exist (precondition — a
-    /// doomed writer fails at open, not at exit); throws std::runtime_error
-    /// when the temp file cannot be created.
-    explicit csv_writer(const std::string& path);
-    csv_writer(csv_writer&& other) noexcept;
-    csv_writer& operator=(csv_writer&& other) noexcept;
-    /// Commits via close(), swallowing errors (report them by calling
-    /// close() yourself).
-    ~csv_writer();
-
-    [[nodiscard]] bool active() const noexcept { return out_ != nullptr; }
-
-    void header(const std::vector<std::string>& cells);
-    void row(const std::vector<std::string>& cells);
-
-    /// Flush, fsync, and atomically rename the temp file into place.
-    /// Throws std::runtime_error on I/O failure. No-op when inactive.
-    void close();
-
-private:
-    void line(const std::vector<std::string>& cells);
-
-    std::string path_;          ///< final path (temp is path_ + ".tmp")
-    std::FILE* out_ = nullptr;  ///< open on the temp file while active
-    std::size_t rows_since_sync_ = 0;
-};
 
 }  // namespace levy::sim

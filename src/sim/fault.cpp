@@ -51,13 +51,6 @@ void fault_before_query(std::size_t sequence) {
     }
 }
 
-void fault_before_cache_flush(std::size_t ordinal) noexcept {
-    if (!fault_plan_active()) return;
-    if (ordinal == g_plan.exit_at_cache_flush) {
-        std::_Exit(9);  // SIGKILL-grade: the flush never reaches the disk
-    }
-}
-
 namespace {
 std::atomic<std::uint64_t> g_dir_fsyncs{0};
 }  // namespace

@@ -15,11 +15,12 @@ namespace levy::sim {
 /// checkpoint/resume layer is precisely designed to make irrelevant).
 ///
 /// Install with `install_fault_plan`, clear with `clear_fault_plan`. The
-/// hooks below are called by the Monte-Carlo driver, the journal (the
-/// Monte-Carlo checkpoint and the out-of-core block journal alike) and
-/// levyserve; with no plan installed they compile down to one relaxed
-/// atomic load. Production binaries never install a plan — only tests and the
-/// `levyfault` tool do.
+/// hooks below are called by the Monte-Carlo driver, every framed file's
+/// flush (the Monte-Carlo checkpoint, the out-of-core block journal and
+/// levyserve's result cache alike) and levyserve's workers; with no plan
+/// installed they compile down to one relaxed atomic load. Production
+/// binaries never install a plan — only tests, the `levyfault` tool and
+/// levyserve's `--fault-*` flags do.
 struct fault_plan {
     static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
 
@@ -36,19 +37,19 @@ struct fault_plan {
     /// bytes survive. Used by the levyfault tool, never by in-process tests.
     std::size_t exit_at_trial = kNever;
 
-    /// Journal flush numbers are 0-based and counted per journal: per
-    /// Monte-Carlo run, or per sharded trial for the block journal.
-    /// Truncate journal flush number N to `short_write_bytes` bytes.
+    /// Flush numbers are 0-based and counted per file: per Monte-Carlo
+    /// run, per sharded trial for the block journal, per result cache.
+    /// Truncate flush number N to `short_write_bytes` bytes.
     std::size_t short_write_flush = kNever;
     std::size_t short_write_bytes = 0;
-    /// XOR one byte (at `torn_write_offset` mod file size) of journal
-    /// flush number N.
+    /// XOR one byte (at `torn_write_offset` mod file size) of flush
+    /// number N.
     std::size_t torn_write_flush = kNever;
     std::size_t torn_write_offset = 0;
-    /// std::_Exit the process when journal flush number N is about to
-    /// persist — a kill -9 between flushes: only the records already renamed
-    /// into place survive (for a sharded trial, the blocks finished before
-    /// the one whose record was being flushed).
+    /// std::_Exit the process when flush number N is about to persist — a
+    /// kill -9 between flushes: only the records already renamed into place
+    /// survive (for a sharded trial, the blocks finished before the one
+    /// whose record was being flushed; for the cache, the previous flush).
     std::size_t exit_at_flush = kNever;
 
     /// --- Service faults (levyserve; see src/serve/server.h) --------------
@@ -56,10 +57,6 @@ struct fault_plan {
     /// (0-based admission order) — a crashing handler must answer 500 and
     /// leave the server serving.
     std::size_t throw_at_query = kNever;
-    /// std::_Exit the process when result-cache flush number N (1-based) is
-    /// about to persist — a kill -9 "between cache flushes": the previous
-    /// on-disk cache must survive and reload verbatim.
-    std::size_t exit_at_cache_flush = kNever;
 };
 
 /// Thrown by fault_before_trial when the plan says a worker dies here.
@@ -79,10 +76,11 @@ void fault_before_trial(std::size_t index);
 /// Hook: trial `index` completed. May request cooperative cancellation.
 void fault_after_trial(std::size_t index) noexcept;
 
-/// Hook: the journal is about to persist `bytes` as flush number `ordinal`.
-/// May _Exit the process, or apply the plan's short/torn-write mutation in
-/// place and return true when a fault fired (the journal then plays dead
-/// so the corruption survives on disk).
+/// Hook: a framed file (a journal or the result cache) is about to persist
+/// `bytes` as its flush number `ordinal`. May _Exit the process, or apply
+/// the plan's short/torn-write mutation in place and return true when a
+/// fault fired (a journal then plays dead so the corruption survives on
+/// disk).
 [[nodiscard]] bool fault_on_checkpoint_flush(std::size_t ordinal,
                                              std::vector<char>& bytes) noexcept;
 
@@ -90,17 +88,12 @@ void fault_after_trial(std::size_t index) noexcept;
 /// throw injected_fault per the installed plan.
 void fault_before_query(std::size_t sequence);
 
-/// Hook: the result cache is about to persist flush number `ordinal`
-/// (1-based). May _Exit the process per the installed plan — the bytes are
-/// assembled but nothing has been renamed into place yet.
-void fault_before_cache_flush(std::size_t ordinal) noexcept;
-
-/// Durability observability: durable_rename (checkpoint.h) calls
-/// note_dir_fsync() after it has fsynced the parent directory of a rename —
-/// for atomic_write_file and the CSV writer alike — and tests read the
-/// running total via dir_fsync_count() to pin the rename-durability rule
-/// (see DESIGN.md §11). Always on — one relaxed atomic increment — so the
-/// regression test does not depend on a fault plan being installed.
+/// Durability observability: atomic_write_file (checkpoint.h) calls
+/// note_dir_fsync() after it has fsynced the parent directory of its
+/// rename, and tests read the running total via dir_fsync_count() to pin
+/// the rename-durability rule (see DESIGN.md §11). Always on — one
+/// relaxed atomic increment — so the regression test does not depend on a
+/// fault plan being installed.
 void note_dir_fsync() noexcept;
 [[nodiscard]] std::uint64_t dir_fsync_count() noexcept;
 

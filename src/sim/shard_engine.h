@@ -40,15 +40,16 @@ namespace levy::sim {
 ///               | target.y | strategy fingerprint
 ///     payload : hit u64 (0 or 1) | time u64 | winner u64
 ///
-/// so header and records carry CRCs, a bad tail is dropped, and every
-/// flush is an atomic_write_file. A journal of another run identity is
-/// ignored as a whole and never misread; the strategy fingerprint is a
-/// mix64 chain over the exponents of the first 16 walkers (strategies are
-/// opaque functions). Resuming folds every valid record into the best
-/// before any block runs, and skips those blocks; a dropped record reruns
-/// its block. The journal is flushed every `sync_rounds` finished blocks
-/// but never after the last one, and is removed when the trial completes,
-/// so at the default of 1 a kill -9 loses at most the block in progress.
+/// so it is a framed file (sim::frame_format): header and records carry
+/// CRCs, a bad tail is dropped, and every flush is an atomic_write_file. A
+/// journal of another run identity is ignored as a whole and never misread
+/// (its header reads as foreign); the strategy fingerprint is a mix64
+/// chain over the exponents of the first 16 walkers (strategies are opaque
+/// functions). Resuming folds every valid record into the best before any
+/// block runs, and skips those blocks; a dropped record reruns its block.
+/// The journal is flushed every `sync_rounds` finished blocks but never
+/// after the last one, and is removed when the trial completes, so at the
+/// default of 1 a kill -9 loses at most the block in progress.
 struct shard_options {
     /// Walker-id blocks to cut the trial into (0 or 1 = one block). Raised
     /// until one block's records fit `memory_budget`, then clamped to k.

@@ -6,12 +6,11 @@
 #include <limits>
 
 #include "src/core/contracts.h"
+#include "src/grid/direct_path.h"
 #include "src/grid/ring.h"
 
 namespace levy::sim {
 namespace {
-// Same 128-bit exact comparison the scalar stepper uses (grid/direct_path).
-__extension__ typedef __int128 int128;
 
 /// Beyond this many cached (α, cap) jump distributions, drop the cache
 /// between runs: continuous strategies (uniform_exponent) produce a fresh α
@@ -52,22 +51,9 @@ bool out_of_reach(std::int64_t x, std::int64_t y, std::uint64_t elapsed,
 std::int64_t replay_x(const rng& main, std::uint64_t phase, std::int64_t adx, std::int64_t ady,
                       std::uint64_t to) {
     rng path = main.substream(phase);
-    const auto total = static_cast<int128>(adx + ady);
-    std::int64_t px = 0;
-    for (std::uint64_t j = 0; j < to; ++j) {
-        const auto py = static_cast<std::int64_t>(j) - px;
-        bool step_x = px != adx;  // an axis whose budget is spent takes no step
-        if (step_x && py != ady) {
-            // The direct path's rule (grid/direct_path): step toward the
-            // straight line, with a tie coin when both nodes are as close.
-            const int128 i1 = static_cast<int128>(j) + 1;
-            const int128 ex = total * px - i1 * adx;
-            const int128 ey = total * py - i1 * ady;
-            step_x = ex < ey || (ex == ey && path.coin());
-        }
-        if (step_x) ++px;
-    }
-    return px;
+    direct_path_stepper stepper(origin, {adx, ady});
+    for (std::uint64_t j = 0; j < to; ++j) (void)stepper.advance(path);
+    return stepper.position().x;
 }
 
 }  // namespace

@@ -207,6 +207,19 @@ TEST(ServerLifecycle, StartServesOverRealSocketsAndStopsIdempotently) {
     EXPECT_FALSE(srv.running());
 }
 
+TEST(ServerLifecycle, StartRefusesACachePathThatIsNoRegularFile) {
+    serve_options opts = fast_opts();
+    opts.cache_path = ::testing::TempDir();  // a directory
+    server srv(opts);
+    try {
+        (void)srv.start();
+        FAIL() << "started on the directory " << opts.cache_path;
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(opts.cache_path), std::string::npos) << e.what();
+    }
+    EXPECT_FALSE(srv.running());
+}
+
 /// One raw GET over a fresh connection: every byte the server sent up to
 /// its orderly close, or "" when the connection was reset first.
 std::string raw_get(unsigned short port, const std::string& path) {

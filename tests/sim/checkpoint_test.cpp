@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,6 +94,9 @@ TEST_F(CheckpointTest, ReadFileReturnsWholeContentIntoAReusedBuffer) {
     write_all(path, {});
     ASSERT_TRUE(read_file(path, bytes));
     EXPECT_TRUE(bytes.empty());
+    // A directory opens, but is no file to read (ext4 reports its size as
+    // 2^63 - 1, which a sized read would try to allocate).
+    EXPECT_FALSE(read_file(dir_.string(), bytes));
 }
 
 TEST_F(CheckpointTest, AtomicWriteRoundTripsAndLeavesNoTemp) {
@@ -118,6 +123,104 @@ TEST_F(CheckpointTest, AtomicWriteFsyncsTheParentDirectory) {
     EXPECT_GT(dir_fsync_count(), before);
 }
 #endif
+
+/// A framed file with two identity words and five records, and the payload
+/// each record was written with.
+struct framed_truth {
+    frame_format format{.magic = 0x1122334455667788ULL,
+                        .version = 7,
+                        .payload_bytes = 12,
+                        .identity = {0xfeed, 42}};
+    std::vector<std::vector<char>> payloads;
+    std::vector<char> file;
+    static constexpr std::size_t kHeader = 8 + 4 + 4 + 2 * 8 + 4;
+    static constexpr std::size_t kRecord = 12 + 4;
+
+    framed_truth() {
+        for (char r = 0; r < 5; ++r) {
+            payloads.emplace_back();
+            for (char b = 0; b < 12; ++b) payloads.back().push_back(static_cast<char>(16 * r + b));
+        }
+        std::size_t next = 0;
+        file = write_frames(format, payloads.size(), [&](char* p) {
+            std::copy(payloads[next].begin(), payloads[next].end(), p);
+            ++next;
+        });
+    }
+
+    /// Every record the scan reports intact holds the payload written there.
+    void expect_faithful(const frame_scan& scan, const std::string& what) const {
+        ASSERT_LE(scan.records.size(), payloads.size()) << what;
+        for (std::size_t i = 0; i < scan.records.size(); ++i) {
+            const std::span<const char> got = scan.records[i].payload;
+            if (!scan.records[i].intact) continue;
+            EXPECT_TRUE(std::equal(got.begin(), got.end(), payloads[i].begin(), payloads[i].end()))
+                << what << ", record " << i;
+        }
+    }
+};
+
+TEST(Framing, EveryTruncationAndBitFlipYieldsOnlyWrittenPayloads) {
+    const framed_truth t;
+    ASSERT_EQ(t.file.size(), t.kHeader + t.payloads.size() * t.kRecord);
+    const frame_scan whole = read_frames(t.file, t.format);
+    ASSERT_EQ(whole.header, frame_header::matching);
+    EXPECT_FALSE(whole.partial_tail);
+    ASSERT_EQ(whole.records.size(), t.payloads.size());
+    for (const auto& record : whole.records) EXPECT_TRUE(record.intact);
+    t.expect_faithful(whole, "whole file");
+
+    for (std::size_t len = 0; len < t.file.size(); ++len) {
+        const frame_scan scan = read_frames(std::span<const char>(t.file).first(len), t.format);
+        t.expect_faithful(scan, "cut at " + std::to_string(len));
+        if (len < t.kHeader) {
+            EXPECT_EQ(scan.header, frame_header::corrupt) << "cut at " << len;
+            continue;
+        }
+        EXPECT_EQ(scan.header, frame_header::matching) << "cut at " << len;
+        EXPECT_EQ(scan.records.size(), (len - t.kHeader) / t.kRecord) << "cut at " << len;
+        EXPECT_EQ(scan.partial_tail, (len - t.kHeader) % t.kRecord != 0) << "cut at " << len;
+    }
+
+    for (std::size_t bit = 0; bit < 8 * t.file.size(); ++bit) {
+        std::vector<char> flipped = t.file;
+        flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        const frame_scan scan = read_frames(flipped, t.format);
+        t.expect_faithful(scan, "bit " + std::to_string(bit));
+        if (bit / 8 < t.kHeader) {
+            EXPECT_EQ(scan.header, frame_header::corrupt) << "bit " << bit;
+            continue;
+        }
+        // CRC-32 catches every single-bit error: exactly the flipped record
+        // fails, and the framing of the others holds.
+        ASSERT_EQ(scan.header, frame_header::matching) << "bit " << bit;
+        ASSERT_EQ(scan.records.size(), t.payloads.size()) << "bit " << bit;
+        for (std::size_t i = 0; i < scan.records.size(); ++i) {
+            EXPECT_EQ(scan.records[i].intact, i != (bit / 8 - t.kHeader) / t.kRecord)
+                << "bit " << bit << ", record " << i;
+        }
+    }
+}
+
+TEST(Framing, HeaderOfAnotherShapeReadsAsForeignOrCorrupt) {
+    const framed_truth t;
+    const auto header_of = [&](frame_format other) {
+        return read_frames(t.file, other).header;
+    };
+    frame_format other = t.format;
+    other.payload_bytes = 8;
+    EXPECT_EQ(header_of(other), frame_header::foreign);
+    other = t.format;
+    other.identity[1] = 43;
+    EXPECT_EQ(header_of(other), frame_header::foreign);
+    other = t.format;
+    other.magic ^= 1;
+    EXPECT_EQ(header_of(other), frame_header::corrupt);
+    other = t.format;
+    other.version = 8;
+    EXPECT_EQ(header_of(other), frame_header::corrupt);
+    EXPECT_TRUE(read_frames(t.file, other).records.empty());
+}
 
 TEST_F(CheckpointTest, MissingFileIsUnmatched) {
     const auto loaded = load_journal(file("absent.ckpt"), journal_key{1, 2, 8});

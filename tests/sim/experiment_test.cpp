@@ -1,15 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "src/core/contracts.h"
 #include "src/sim/experiment.h"
-#include "src/sim/fault.h"
 
 namespace levy::sim {
 namespace {
@@ -32,12 +28,11 @@ TEST(RunOptions, DefaultsWhenNoArgs) {
     EXPECT_EQ(opts.threads, 0u);
     EXPECT_EQ(opts.chunk, 0u);
     EXPECT_EQ(opts.seed, kDefaultSeed);
-    EXPECT_TRUE(opts.csv_path.empty());
 }
 
 TEST(RunOptions, ParsesAllFlags) {
     std::vector<std::string> args = {"--trials=500", "--scale=2.5", "--threads=3",
-                                     "--chunk=16",   "--seed=777",  "--csv=/tmp/out.csv",
+                                     "--chunk=16",   "--seed=777",
                                      "--checkpoint=/tmp/ckpt", "--checkpoint-interval=17",
                                      "--max-steps-per-trial=4096"};
     auto argv = argv_of(args);
@@ -47,7 +42,6 @@ TEST(RunOptions, ParsesAllFlags) {
     EXPECT_EQ(opts.threads, 3u);
     EXPECT_EQ(opts.chunk, 16u);
     EXPECT_EQ(opts.seed, 777u);
-    EXPECT_EQ(opts.csv_path, "/tmp/out.csv");
     EXPECT_EQ(opts.checkpoint_dir, "/tmp/ckpt");
     EXPECT_EQ(opts.checkpoint_interval, 17u);
     EXPECT_EQ(opts.max_trial_steps, 4096u);
@@ -112,10 +106,14 @@ TEST(FormatThroughput, MentionsTrialsAndWorkers) {
 }
 
 TEST(RunOptions, RejectsUnknownFlag) {
-    std::vector<std::string> args = {"--bogus=1"};
-    auto argv = argv_of(args);
-    EXPECT_THROW(parse_run_options(static_cast<int>(argv.size()), argv.data()),
-                 std::invalid_argument);
+    // Removed flags are rejected like any other unknown one.
+    for (const char* bad : {"--bogus=1", "--csv=x.csv", "--sync-rounds=2"}) {
+        std::vector<std::string> args = {bad};
+        auto argv = argv_of(args);
+        EXPECT_THROW(parse_run_options(static_cast<int>(argv.size()), argv.data()),
+                     std::invalid_argument)
+            << bad;
+    }
 }
 
 TEST(RunOptions, RejectsMalformedNumbers) {
@@ -284,68 +282,6 @@ TEST(RunOptions, McDerivesPerPhaseCheckpointPath) {
     // The same phase maps to the same file on a rerun.
     EXPECT_EQ(a.checkpoint_path, opts.mc(10, /*salt=*/1).checkpoint_path);
 }
-
-TEST(CsvWriter, InactiveByDefault) {
-    csv_writer w;
-    EXPECT_FALSE(w.active());
-    w.row({"never", "written"});  // must not crash
-}
-
-TEST(CsvWriter, WritesQuotedCells) {
-    const std::string path = "/tmp/levy_csv_test.csv";
-    {
-        csv_writer w(path);
-        EXPECT_TRUE(w.active());
-        w.header({"a", "b"});
-        w.row({"1", "with,comma"});
-        w.row({"quote\"inside", "plain"});
-    }
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), "a,b\n1,\"with,comma\"\n\"quote\"\"inside\",plain\n");
-    std::remove(path.c_str());
-}
-
-TEST(CsvWriter, MissingParentDirectoryViolatesPrecondition) {
-    EXPECT_THROW(csv_writer("/nonexistent_dir_xyz/file.csv"), contract_violation);
-}
-
-TEST(CsvWriter, StreamsToTempAndRenamesOnClose) {
-    const std::string path = "/tmp/levy_csv_atomic_test.csv";
-    std::remove(path.c_str());
-    {
-        csv_writer w(path);
-        w.header({"a"});
-        w.row({"1"});
-        // Mid-run: only the temp file exists; the final path appears atomically.
-        EXPECT_TRUE(std::filesystem::exists(path + ".tmp"));
-        EXPECT_FALSE(std::filesystem::exists(path));
-        w.close();
-        EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-        EXPECT_TRUE(std::filesystem::exists(path));
-    }
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), "a\n1\n");
-    std::remove(path.c_str());
-}
-
-#if defined(__unix__) || defined(__APPLE__)
-TEST(CsvWriter, CloseFsyncsTheParentDirectory) {
-    // Same durability rule as atomic_write_file: the rename into place is
-    // durable only once the parent directory is fsynced, and the shared
-    // commit path counts that fsync (note_dir_fsync).
-    const std::string path = "/tmp/levy_csv_durable_test.csv";
-    csv_writer w(path);
-    w.row({"1"});
-    const std::uint64_t before = dir_fsync_count();
-    w.close();
-    EXPECT_GT(dir_fsync_count(), before);
-    std::remove(path.c_str());
-}
-#endif
 
 }  // namespace
 }  // namespace levy::sim

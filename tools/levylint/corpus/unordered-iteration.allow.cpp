@@ -25,3 +25,11 @@ std::uint64_t commutative_folds() {
     }
     return total;
 }
+
+std::uint64_t sum_census(const std::unordered_map<int, std::uint64_t>& tally) {
+    std::uint64_t total = 0;
+    for (const auto& kv : tally) {  // levylint:allow(unordered-iteration) integer sum
+        total += kv.second;
+    }
+    return total;
+}

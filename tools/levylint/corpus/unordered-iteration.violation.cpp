@@ -22,3 +22,9 @@ void leak_order() {
         std::cout << kv.first << "\n";
     }
 }
+
+void print_census(const std::unordered_map<int, std::uint64_t>& tally) {
+    for (const auto& kv : tally) {  // a by-reference parameter: same leak
+        std::cout << kv.first << "\n";
+    }
+}

@@ -87,13 +87,13 @@ const std::vector<rule_info>& registry() {
          "mount, or a permissions change just sets failbit and every subsequent\n"
          "`<<` becomes a no-op. A results file produced that way is truncated or\n"
          "empty with exit status 0 — the worst failure mode for a long sweep,\n"
-         "and exactly what the crash-safe writers in src/sim/ exist to prevent.\n"
+         "and exactly what the crash-safe writer in src/sim/ exists to prevent.\n"
          "\n"
          "Fix: check the stream at least once after writing (`if (!out) ...`,\n"
-         "out.good()/fail()/bad()), or route through sim::csv_writer /\n"
-         "sim::atomic_write_file, which fsync, verify, and rename atomically. A\n"
-         "genuinely loss-tolerant scratch file may carry\n"
-         "levylint:allow(unchecked-write) on its declaration line.\n"},
+         "out.good()/fail()/bad()), or route through sim::atomic_write_file,\n"
+         "which fsyncs, verifies, and renames atomically. A genuinely\n"
+         "loss-tolerant scratch file may carry levylint:allow(unchecked-write)\n"
+         "on its declaration line.\n"},
         {"throwing-call-in-noexcept",
          "throw or container growth (resize/push_back/...) inside an explicitly-noexcept body",
          "An exception escaping a noexcept function does not propagate — it\n"
@@ -393,8 +393,15 @@ private:
         for (std::size_t i = 0; i < ts_.size(); ++i) {
             if (is_unordered_name(ts_[i]) && at(ts_, i + 1) != nullptr &&
                 is_punct(ts_[i + 1], "<")) {
-                const std::size_t past = match_angles(ts_, i + 1);
+                std::size_t past = match_angles(ts_, i + 1);
                 if (past == i + 1) continue;
+                // `const std::unordered_map<K, V>& name`: the declarator
+                // follows the reference or pointer, as for floats below.
+                while (at(ts_, past) != nullptr &&
+                       (is_punct(ts_[past], "&") || is_punct(ts_[past], "*") ||
+                        is_punct(ts_[past], "&&") || is_ident(ts_[past], "const"))) {
+                    ++past;
+                }
                 const token* name = at(ts_, past);
                 if (name != nullptr && name->kind == tok::identifier) {
                     const token* after = at(ts_, past + 1);
@@ -727,7 +734,7 @@ private:
                          "` is written but its stream state is never checked — a full disk "
                          "truncates the file silently; test !" +
                          name + " (or .good()/.fail()) after writing, or use "
-                                "sim::csv_writer / sim::atomic_write_file");
+                                "sim::atomic_write_file");
             }
         }
     }

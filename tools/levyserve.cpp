@@ -47,6 +47,7 @@
 #include "src/serve/http.h"
 #include "src/serve/loadgen.h"
 #include "src/serve/server.h"
+#include "src/sim/checkpoint.h"
 #include "src/sim/fault.h"
 #include "src/sim/monte_carlo.h"
 #include "tools/arg_map.h"
@@ -90,11 +91,13 @@ int cmd_serve(int argc, char** argv) {
     const serve::serve_options opts = options_from(args);
 
     sim::fault_plan plan;
-    plan.exit_at_cache_flush =
+    // The cache is the only framed file a server flushes, so its flushes
+    // are the plan's flush numbers.
+    plan.exit_at_flush =
         args.get<std::size_t>("fault-exit-at-cache-flush", sim::fault_plan::kNever);
     plan.throw_at_query =
         args.get<std::size_t>("fault-throw-at-query", sim::fault_plan::kNever);
-    if (plan.exit_at_cache_flush != sim::fault_plan::kNever ||
+    if (plan.exit_at_flush != sim::fault_plan::kNever ||
         plan.throw_at_query != sim::fault_plan::kNever) {
         sim::install_fault_plan(plan);
     }
@@ -104,14 +107,9 @@ int cmd_serve(int argc, char** argv) {
     std::cout << "levyserve listening on port " << port << "\n" << std::flush;
     const std::string port_file = args.text("port-file", "");
     if (!port_file.empty()) {
-        // Write then rename so the parent never reads a torn port number.
-        const std::string tmp = port_file + ".tmp";
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << port << "\n";
-        out.close();
-        if (!out.good() || std::rename(tmp.c_str(), port_file.c_str()) != 0) {
-            throw std::runtime_error("levyserve: cannot write " + port_file);
-        }
+        // Atomic, so the parent never reads a torn port number.
+        const std::string text = std::to_string(port) + "\n";
+        sim::atomic_write_file(port_file, std::vector<char>(text.begin(), text.end()));
     }
 
     std::signal(SIGTERM, levyserve_stop_handler);
@@ -360,10 +358,10 @@ int cmd_selftest(int argc, char** argv) {
     std::cout << "[levyserve] phase 4: crash between cache flushes\n";
     fs::remove(p("cache.bin"));
     std::vector<std::string> crashing = config;
-    crashing.push_back("--fault-exit-at-cache-flush=6");
+    crashing.push_back("--fault-exit-at-cache-flush=5");  // flushes count from 0
     server = spawn_server(self, p("port"), crashing);
     if (server.pid < 0) return fail("crash-drill server did not come up");
-    // The batch dies when flush ordinal 6 is reached; the replay sees
+    // The batch dies when the sixth flush is reached; the replay sees
     // transport errors — expected, so ignore its exit status.
     (void)run_child(self,
                     "replay --port=" + std::to_string(server.port) +
@@ -371,7 +369,7 @@ int cmd_selftest(int argc, char** argv) {
     ::waitpid(server.pid, nullptr, 0);
     server.pid = -1;
     if (!fs::exists(p("cache.bin"))) {
-        return fail("crash between flushes left no cache file (flush 6 never renamed)");
+        return fail("crash between flushes left no cache file (the sixth flush never renamed)");
     }
 
     server = spawn_server(self, p("port"), config);
