@@ -1,12 +1,14 @@
 // E15 — engineering micro-benchmarks (Google Benchmark).
 //
 // Throughput of the primitives everything else is built on: the exact Zipf
-// sampler, the jump distribution, ring sampling, direct-path stepping, and
-// whole-process stepping for walks and flights. These numbers bound how
-// large an (ℓ, k, trials) grid the experiment binaries can afford.
+// sampler, the jump distribution, ring sampling, direct-path stepping, the
+// walk engine's candidate replay and walker first visit, and whole-process
+// stepping for walks and flights. These numbers bound how large an (ℓ, k,
+// trials) grid the experiment binaries can afford.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -21,10 +23,12 @@
 #include "src/stats/table.h"
 #include "src/core/levy_flight.h"
 #include "src/core/levy_walk.h"
+#include "src/core/strategy.h"
 #include "src/grid/direct_path.h"
 #include "src/grid/ring.h"
 #include "src/rng/jump_distribution.h"
 #include "src/rng/zipf.h"
+#include "src/sim/walk_engine.h"
 
 namespace {
 
@@ -96,6 +100,60 @@ void BM_DirectPathStep(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_DirectPathStep);
+
+// A walk engine candidate replay (sim/walk_engine.cpp's replay_x): a fresh
+// per-phase substream, a stepper from the origin toward (2i*, i*), driven
+// to step i*. Arg: i*.
+void BM_CandidateReplay(benchmark::State& state) {
+    const auto istar = static_cast<std::int64_t>(state.range(0));
+    const rng main = rng::seeded(10);
+    std::uint64_t phase = 0;
+    for (auto _ : state) {
+        rng path = main.substream(++phase);
+        direct_path_stepper s(origin, {2 * istar, istar});
+        for (std::int64_t j = 0; j < istar; ++j) (void)s.advance(path);
+        benchmark::DoNotOptimize(s.position().x);
+    }
+}
+BENCHMARK(BM_CandidateReplay)->Arg(4)->Arg(32);
+
+// Walker first visits at perfbench's swarm shape (α = 2, cap 64, target
+// (64, 0), budget 2048): spawn_range over 2^17 ids under a planted best at
+// time 64 + s, its winner past the range (every walker may still tie and
+// win) or walker 0 (every walker loses a tie). Args: s, epoch quantum,
+// winner past the range (1) or 0 (0). Reports time per walker id.
+void BM_FirstVisit(benchmark::State& state) {
+    constexpr std::size_t kIds = std::size_t{1} << 17;
+    const point target{64, 0};
+    const sim::engine_options opts{.epoch_steps = static_cast<std::uint64_t>(state.range(1))};
+    const sim::best_state planted{.hit = true,
+                                  .time = 64 + static_cast<std::uint64_t>(state.range(0)),
+                                  .winner = state.range(2) != 0 ? kIds : 0};
+    const exponent_strategy strategy = fixed_exponent(2.0);
+    const rng trial = rng::seeded(11);
+    sim::dist_cache dists;
+    dists.reset(64);
+    sim::walker_block block;
+    block.reserve(kIds);
+    for (auto _ : state) {
+        block.clear();
+        sim::best_state best = planted;
+        block.spawn_range(0, kIds, strategy, trial, dists, opts, target, 2048, best);
+        benchmark::DoNotOptimize(best);
+    }
+    state.counters["per_walker"] = benchmark::Counter(
+        static_cast<double>(kIds),
+        benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FirstVisit)
+    ->Args({0, 0, 1})
+    ->Args({1, 0, 1})
+    ->Args({8, 0, 1})
+    ->Args({0, 32, 1})
+    ->Args({1, 32, 1})
+    ->Args({8, 32, 1})
+    ->Args({0, 0, 0})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LevyWalkStep(benchmark::State& state) {
     levy_walk w(state.range(0) / 100.0, rng::seeded(7));

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -7,6 +8,11 @@
 #include "src/rng/rng_stream.h"
 
 namespace levy {
+namespace detail {
+// 128-bit comparisons keep the Bresenham decision exact for jump lengths up
+// to 2^62 (see direct_path_stepper). GCC/Clang extension, hence the marker.
+__extension__ typedef __int128 int128;
+}  // namespace detail
 
 /// Incremental generator of a uniformly random *direct path* (Def. 3.1,
 /// paper Fig. 2): a shortest lattice path u = u₀, u₁, …, u_d = v such that
@@ -35,14 +41,53 @@ class direct_path_stepper {
 public:
     /// Prepare a path from `from` to `to` (equal endpoints give an empty,
     /// already-done path).
-    direct_path_stepper(point from, point to) noexcept;
+    direct_path_stepper(point from, point to) noexcept
+        : from_(from),
+          adx_(abs64(to.x - from.x)),
+          ady_(abs64(to.y - from.y)),
+          sx_(to.x < from.x ? -1 : 1),
+          sy_(to.y < from.y ? -1 : 1),
+          total_(adx_ + ady_) {}
 
     /// True once the destination has been reached.
     [[nodiscard]] bool done() const noexcept { return px_ + py_ == total_; }
 
     /// Take one lattice step toward the destination and return the new node.
-    /// Precondition: !done().
-    point advance(rng& g);
+    /// Precondition: !done(). Inline: the walk engine's candidate replay
+    /// and the scalar walk run it once per step.
+    point advance(rng& g) {
+        assert(!done());
+        bool step_x;
+        if (px_ == adx_) {
+            step_x = false;  // x budget exhausted
+        } else if (py_ == ady_) {
+            step_x = true;  // y budget exhausted
+        } else {
+            // Candidate after an x-step is closer to w_{i+1} than after a
+            // y-step iff d·px − (i+1)·|Δx| < d·py − (i+1)·|Δy| (see above).
+            using detail::int128;
+            const int128 i1 = taken() + 1;
+            const int128 ex = static_cast<int128>(total_) * px_ - i1 * adx_;
+            const int128 ey = static_cast<int128>(total_) * py_ - i1 * ady_;
+            if (ex < ey) {
+                step_x = true;
+            } else if (ey < ex) {
+                step_x = false;
+            } else {
+                // The tie coin is the documented consumer of the per-phase
+                // path substream: callers pass stream.substream(phase), never
+                // the main stream, so its data-dependent draw count cannot
+                // skew main-stream replay.
+                step_x = g.coin();  // exact tie: both nodes equidistant from w_{i+1}
+            }
+        }
+        if (step_x) {
+            ++px_;
+        } else {
+            ++py_;
+        }
+        return position();
+    }
 
     /// Current node u_i.
     [[nodiscard]] point position() const noexcept {

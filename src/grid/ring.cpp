@@ -11,20 +11,7 @@ point ring_node(point center, std::int64_t d, std::uint64_t j) {
         return center;
     }
     if (j >= ring_size(d)) throw std::out_of_range("ring_node: index out of range");
-    // side = j / d and o = j mod d by three comparisons instead of a
-    // divide: j < 4d, so the quotient is 0..3 (and 4d, hence 3d, does not
-    // wrap, or ring_size itself would).
-    const auto ud = static_cast<std::uint64_t>(d);
-    const std::uint64_t side = std::uint64_t{j >= ud} + (j >= 2 * ud) + (j >= 3 * ud);
-    const auto o = static_cast<std::int64_t>(j - side * ud);
-    point rel;
-    switch (side) {
-        case 0: rel = {d - o, o}; break;
-        case 1: rel = {-o, d - o}; break;
-        case 2: rel = {o - d, -o}; break;
-        default: rel = {o, o - d}; break;
-    }
-    return center + rel;
+    return center + ring_offset(d, j);
 }
 
 std::uint64_t ring_index(point center, point v) {
@@ -38,11 +25,6 @@ std::uint64_t ring_index(point center, point v) {
     if (rel.x <= 0 && rel.y > 0) return static_cast<std::uint64_t>(d - rel.x);       // side 1, o=-x
     if (rel.x < 0 && rel.y <= 0) return static_cast<std::uint64_t>(2 * d - rel.y);   // side 2, o=-y
     return static_cast<std::uint64_t>(3 * d + rel.x);                                // side 3, o=x
-}
-
-point sample_ring(point center, std::int64_t d, rng& g) {
-    if (d == 0) return center;
-    return ring_node(center, d, g.below(ring_size(d)));
 }
 
 }  // namespace levy

@@ -25,6 +25,27 @@ namespace levy {
     return d == 0 ? 1 : 4 * static_cast<std::uint64_t>(d);
 }
 
+/// The j-th node of R_d(0) for d ≥ 1 and j < 4d, unchecked and
+/// branch-free: the one index → node mapping (ring_node validates, then
+/// calls it). side = j / d and o = j mod d come from three comparisons
+/// instead of a divide: j < 4d, so the quotient is 0..3 (and 4d, hence 3d,
+/// does not wrap, or ring_size itself would). Each side is side 0's node
+/// (d − o, o) turned by a quarter turn (x, y) → (−y, x) per side: an odd
+/// side swaps the two magnitudes, sides 1 and 2 negate x, sides 2 and 3
+/// negate y.
+[[nodiscard]] constexpr point ring_offset(std::int64_t d, std::uint64_t j) noexcept {
+    const auto ud = static_cast<std::uint64_t>(d);
+    const std::uint64_t side = std::uint64_t{j >= ud} + (j >= 2 * ud) + (j >= 3 * ud);
+    const auto o = static_cast<std::int64_t>(j - side * ud);
+    const std::int64_t a = d - o;
+    // Masks of all ones or none: swap, and negate as (v ^ n) − n.
+    const std::int64_t swap = -static_cast<std::int64_t>(side & 1);
+    const std::int64_t nx = -static_cast<std::int64_t>(((side + 1) >> 1) & 1);
+    const std::int64_t ny = -static_cast<std::int64_t>(side >> 1);
+    const std::int64_t t = (a ^ o) & swap;
+    return {((a ^ t) ^ nx) - nx, ((o ^ t) ^ ny) - ny};
+}
+
 /// The j-th node of R_d(center); requires 0 ≤ j < ring_size(d), d ≥ 0.
 [[nodiscard]] point ring_node(point center, std::int64_t d, std::uint64_t j);
 
@@ -32,8 +53,12 @@ namespace levy {
 /// d = ‖v − center‖₁. Requires v ≠ center.
 [[nodiscard]] std::uint64_t ring_index(point center, point v);
 
-/// A uniform node of R_d(center).
-[[nodiscard]] point sample_ring(point center, std::int64_t d, rng& g);
+/// A uniform node of R_d(center), d ≥ 0: one bounded integer draw (none
+/// for d = 0).
+[[nodiscard]] inline point sample_ring(point center, std::int64_t d, rng& g) {
+    if (d == 0) return center;
+    return center + ring_offset(d, g.below(ring_size(d)));
+}
 
 /// Apply `fn(point)` to every node of R_d(center) in index order.
 template <class Fn>

@@ -58,7 +58,13 @@ public:
     }
 
     /// Unbiased uniform integer in [0, n) via Lemire's method. n must be > 0.
-    std::uint64_t below(std::uint64_t n) noexcept;
+    /// The one multiply is inline; the rare retry (low word below n) is not.
+    std::uint64_t below(std::uint64_t n) noexcept {
+        const __uint128_t m = static_cast<__uint128_t>(engine_()) * n;
+        const auto lo = static_cast<std::uint64_t>(m);
+        const auto hi = static_cast<std::uint64_t>(m >> 64);
+        return lo < n ? below_retry(n, lo, hi) : hi;
+    }
 
     /// Unbiased uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
@@ -78,6 +84,10 @@ public:
 
 private:
     explicit rng(std::uint64_t seed) noexcept : seed_(seed), engine_(seed) {}
+
+    /// below()'s continuation from a first product (lo, hi) with lo < n:
+    /// Lemire's rejection of the biased low words.
+    std::uint64_t below_retry(std::uint64_t n, std::uint64_t lo, std::uint64_t hi) noexcept;
 
     std::uint64_t seed_;
     xoshiro256pp engine_;

@@ -34,9 +34,18 @@ private:
 
 /// One-shot stateless mix: the SplitMix64 output function applied to `x`.
 /// Used to combine seeds and indices into statistically independent values.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept;
+/// Inline, as every substream derivation (one per walker spawn) runs it.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+    splitmix64 g(x);
+    return g();
+}
 
 /// Combine two 64-bit values into one well-mixed value. Not commutative.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept;
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
+    // Two rounds: diffuse `a` into a full-width key first, then combine with
+    // `b` and mix again. For a fixed `a` this is a bijection in `b`, and the
+    // first mix destroys any low-bit structure that could align across keys.
+    return mix64(mix64(a) ^ b);
+}
 
 }  // namespace levy

@@ -1,15 +1,6 @@
 #include "src/rng/xoshiro256pp.h"
 
-#include "src/rng/splitmix64.h"
-
 namespace levy {
-
-xoshiro256pp::xoshiro256pp(std::uint64_t seed) noexcept {
-    splitmix64 sm(seed);
-    for (auto& word : s_) word = sm();
-}
-
-xoshiro256pp::xoshiro256pp(const std::array<std::uint64_t, 4>& state) noexcept : s_(state) {}
 
 void xoshiro256pp::jump() noexcept {
     static constexpr std::uint64_t kJump[] = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,

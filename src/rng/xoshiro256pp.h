@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdint>
 
+#include "src/rng/splitmix64.h"
+
 namespace levy {
 
 /// xoshiro256++ 1.0 (Blackman & Vigna 2019).
@@ -17,10 +19,14 @@ public:
 
     /// Seed the 256-bit state by expanding `seed` with SplitMix64, as the
     /// authors recommend. The all-zero state is unreachable this way.
-    explicit xoshiro256pp(std::uint64_t seed = 0x9b97f4a7c15f39ccULL) noexcept;
+    /// Inline: every walker spawn seeds a fresh substream.
+    explicit xoshiro256pp(std::uint64_t seed = 0x9b97f4a7c15f39ccULL) noexcept {
+        splitmix64 sm(seed);
+        for (auto& word : s_) word = sm();
+    }
 
     /// Construct from a full 256-bit state (must not be all zero).
-    explicit xoshiro256pp(const std::array<std::uint64_t, 4>& state) noexcept;
+    explicit xoshiro256pp(const std::array<std::uint64_t, 4>& state) noexcept : s_(state) {}
 
     std::uint64_t operator()() noexcept {
         const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];

@@ -101,10 +101,8 @@ std::uint64_t zipf_sampler::head_vcount(std::uint64_t x) const noexcept {
     return head_ && x >= 1 && x <= kHeadSize ? head_->vcount[x] : 0;
 }
 
-std::uint64_t zipf_sampler::operator()(rng& g) const {
-    for (;;) {
-        const double u = g.uniform_positive();
-        const std::uint64_t vbits = g.uniform_bits();  // V = vbits·2⁻⁵³, as g.uniform()
+std::uint64_t zipf_sampler::draw_from(rng& g, double u, std::uint64_t vbits) const {
+    for (;; u = g.uniform_positive(), vbits = g.uniform_bits()) {
         if (head_) {
             // A settled attempt: the guide's byte, or the search, and the
             // test as one integer compare (head_vcount).

@@ -26,8 +26,18 @@ public:
 
     /// Draw one Zipf(α) variate. With or without a head (see build_head),
     /// the same stream state yields the same value and leaves the stream
-    /// at the same position.
-    [[nodiscard]] std::uint64_t operator()(rng& g) const;
+    /// at the same position. The first attempt's common outcome, a guide
+    /// byte whose acceptance count takes v, is settled inline; every other
+    /// outcome continues out of line from the same u and v bits.
+    [[nodiscard]] std::uint64_t operator()(rng& g) const {
+        const double u = g.uniform_positive();
+        const std::uint64_t vbits = g.uniform_bits();  // V = vbits·2⁻⁵³, as g.uniform()
+        if (const head* h = head_.get()) {
+            const std::uint64_t x = h->guide[static_cast<std::size_t>(u * kGuideBuckets)];
+            if (x != 0 && vbits < h->vcount[x]) return x;
+        }
+        return draw_from(g, u, vbits);
+    }
 
     /// Build the *head*: tables that settle the common attempts of the
     /// rejection loop without pow, search or division. Costs ~130 pow
@@ -95,6 +105,10 @@ private:
         std::array<std::uint64_t, kHeadSize + 1> vcount;    // see head_vcount; [0] unused
         std::array<std::uint8_t, kGuideBuckets + 1> guide;  // see head_guide
     };
+
+    /// The rejection loop from an attempt whose uniforms (u, vbits) are
+    /// already drawn: operator()'s every outcome but the inline one.
+    [[nodiscard]] std::uint64_t draw_from(rng& g, double u, std::uint64_t vbits) const;
 
     double alpha_;
     double inv_alpha_minus_1_;  // 1/(α-1)

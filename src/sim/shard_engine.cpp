@@ -126,28 +126,37 @@ parallel_result walk_engine::run_parallel(std::size_t k, const exponent_strategy
         if (found.matched || found.dropped_tail) {
             stats_.loads = 1;
             stats_.resumed = found.records.size();
-            stats_.recomputed = count - found.records.size();
-            obs::get_counter("shard.recomputed").add(stats_.recomputed);
         }
     }
 
     for (std::size_t b = 0; b < count; ++b) {
+        const std::size_t lo = b * k / count;
+        const std::size_t hi = (b + 1) * k / count;
+        // The stop: blocks run in id order, so once the best is settled
+        // before this block's first id it is settled for every block left.
+        if (best.settled_before(lo, target)) break;
         if (!finished.empty() && finished[b]) continue;
-        const std::uint64_t allowance = best.hit ? std::min(best.time, budget) : budget;
-        best_state local;
+        // The block runs on the trial's own best: its allowance and the
+        // winner a tie must beat.
         block_.clear();
-        block_.spawn_range(b * k / count, (b + 1) * k / count, strategy, trial_stream, dists_,
-                           engine_opts, target, allowance, local);
+        block_.spawn_range(lo, hi, strategy, trial_stream, dists_, engine_opts, target, budget,
+                           best);
         stats_.peak_resident_walkers =
             std::max<std::uint64_t>(stats_.peak_resident_walkers, block_.live());
         // Epochs only retire walkers, so the spawn's count is the block's peak.
-        while (block_.live() > 0) block_.epoch(engine_opts, dists_, target, allowance, local);
+        while (block_.live() > 0) block_.epoch(engine_opts, dists_, target, budget, best);
         ++stats_.rounds;
-        best.merge(local);
-        // The last block's record would be removed unread: never flushed.
-        if (journal && b + 1 < count) journal->record(b, encode_record(local).data());
+        // The last block's record would be removed unread, and so would one
+        // that stops the trial: neither is flushed.
+        if (journal && b + 1 < count && !best.settled_before(hi, target)) {
+            journal->record(b, encode_record(best).data());
+        }
     }
 
+    if (stats_.loads != 0) {
+        stats_.recomputed = stats_.rounds;
+        obs::get_counter("shard.recomputed").add(stats_.recomputed);
+    }
     stats_.peak_resident_bytes = stats_.peak_resident_walkers * walker_block::kBytesPerWalker;
     static const obs::counter blocks_run = obs::get_counter("shard.blocks");
     blocks_run.add(stats_.rounds);

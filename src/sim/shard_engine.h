@@ -16,13 +16,18 @@ namespace levy::sim {
 /// into `count` contiguous id blocks, block b holding ids
 /// [b·k/count, (b+1)·k/count), and runs them in id order. Each block is
 /// spawned (every walker's first visit) and driven by epochs until none of
-/// its walkers is left, under the allowance min(budget, best so far), and
-/// its local best merges into the trial's. Only one block is ever resident,
-/// so the memory bound holds by construction. The lex-min merge is
-/// order-independent and the reach bound is strict, so the result is
-/// bit-identical to one block of all k walkers — the in-memory run, which
-/// is this loop with count = 1 — at any block count, quantum, or thread
-/// count. A walker needs nothing but its own record to step, and is a pure
+/// its walkers is left, on the trial's own best: a walker's allowance is
+/// the budget or the best time, and one step less for an id above the
+/// winner's, which loses every tie. Before block b runs, the loop stops
+/// when the best is ‖target‖₁ by a winner below b's first id: no walk hits
+/// sooner and a tie loses on id, so no block left can change it. Only one
+/// block is ever resident, so the memory bound holds by construction. The
+/// lex-min registration is order-independent and the allowance prunes
+/// only walkers that cannot change it, so the result is bit-identical to
+/// one block of all k walkers — the in-memory run, which is this loop with
+/// count = 1 — at any block count, quantum, or thread count (the blocks
+/// run, and so the journal, may differ). A walker needs nothing but its own
+/// record to step, and is a pure
 /// function of (trial seed, id), so nothing is ever spilled: a block that
 /// is lost is simply run again. FlashMob bounds its memory the same way (a
 /// bounded set of walkers per epoch, each epoch run until its walkers
@@ -31,8 +36,8 @@ namespace levy::sim {
 /// ## Journal
 ///
 /// With a `spill_dir` and more than one block, a trial keeps its resume
-/// state there: one record per finished block, its local best, in a
-/// trial_journal (sim/checkpoint.h) named
+/// state there: one record per finished block, the trial's best after it,
+/// in a trial_journal (sim/checkpoint.h) named
 /// `blocks-<trial seed hex16>-<count>.journal`:
 ///
 ///     key     : seed = trial seed, trials = count, payload_size = 24,
@@ -47,9 +52,13 @@ namespace levy::sim {
 /// chain over the exponents of the first 16 walkers (strategies are opaque
 /// functions). Resuming folds every valid record into the best before any
 /// block runs, and skips those blocks; a dropped record reruns its block.
+/// (Records once held each block's own best; the trial's best after it
+/// folds the same way, so the payload and the format version stayed.)
 /// The journal is flushed every `sync_rounds` finished blocks but never
-/// after the last one, and is removed when the trial completes, so at the
-/// default of 1 a kill -9 loses at most the block in progress.
+/// after the last one, nor after one that stops the trial (both records
+/// would be removed unread), and is removed when the trial completes, so
+/// at the default of 1 a kill -9 loses at most the block in progress and
+/// the one before a stop.
 struct shard_options {
     /// Walker-id blocks to cut the trial into (0 or 1 = one block). Raised
     /// until one block's records fit `memory_budget`, then clamped to k.
@@ -76,9 +85,9 @@ struct shard_run_stats {
     std::uint64_t spills = 0;         ///< journal flushes
     std::uint64_t spilled_bytes = 0;  ///< bytes those flushes wrote
     std::uint64_t loads = 0;          ///< 1 when the trial found its own journal, else 0
-    /// Blocks a trial that found its journal still had to run: their record
-    /// was never flushed, or was dropped as corrupt. With `resumed` it sums
-    /// to the block count whenever `loads` is 1.
+    /// Blocks a trial that found its journal ran: blocks whose record was
+    /// never flushed, or was dropped as corrupt, and that the stop did not
+    /// skip. Equal to `rounds` whenever `loads` is 1, else 0.
     std::uint64_t recomputed = 0;
     std::uint64_t resumed = 0;  ///< blocks folded in from the journal, not rerun
     std::uint64_t peak_resident_walkers = 0;  ///< the largest block's stored walkers

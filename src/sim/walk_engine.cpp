@@ -34,8 +34,9 @@ std::uint64_t gap(std::int64_t a, std::int64_t b) noexcept {
 
 /// Reach bound (see walk_engine): true when node (x, y), `elapsed` <
 /// `allowance` steps in, is farther from `target` in L1 than the steps
-/// left. Strict, so a walker that can still tie the best time walks on.
-/// |Δx| + |Δy| is never formed, so nothing can wrap.
+/// left. Strict within the allowance: a walker that can still hit at its
+/// last allowed step walks on. |Δx| + |Δy| is never formed, so nothing can
+/// wrap.
 bool out_of_reach(std::int64_t x, std::int64_t y, std::uint64_t elapsed,
                   std::uint64_t allowance, point target) noexcept {
     const std::uint64_t left = allowance - elapsed;
@@ -121,12 +122,17 @@ void dist_cache::place(std::uint32_t ix) noexcept {
 // ---------------------------------------------------------------------------
 // walker_block
 
+walker_block::walker walker_block::fresh(std::size_t id, double alpha, rng stream,
+                                         dist_cache& dists) {
+    return {.id = id,
+            .main = stream,
+            .dist_ix = dists.index_for(alpha),
+            .x = origin.x,
+            .y = origin.y};
+}
+
 void walker_block::spawn(std::size_t id, double alpha, rng stream, dist_cache& dists) {
-    walkers_.push_back({.id = id,
-                        .main = stream,
-                        .dist_ix = dists.index_for(alpha),
-                        .x = origin.x,
-                        .y = origin.y});
+    walkers_.push_back(fresh(id, alpha, stream, dists));
 }
 
 void walker_block::spawn_range(std::size_t lo, std::size_t hi, const exponent_strategy& strategy,
@@ -135,20 +141,29 @@ void walker_block::spawn_range(std::size_t lo, std::size_t hi, const exponent_st
                                std::uint64_t allowance_cap, best_state& best) {
     walkers_.reserve(walkers_.size() + (hi - lo));
     for (std::size_t i = lo; i < hi; ++i) {
+        // The spawn stop: no walker from i on can change a settled best, so
+        // none is derived, drawn or stored (parallel_outcome replays only
+        // the winner's exponent).
+        if (best.settled_before(i, target)) break;
         rng stream = trial_stream.substream(i);
         const double alpha = strategy(i, stream);  // consumes the same draws as scalar
-        spawn(i, alpha, stream, dists);
-        // The first visit: a walker retired by it is never stored (its slot
-        // goes to the next spawn).
-        if (advance_one(walkers_.back(), opts, dists, target, allowance_cap, best)) {
-            walkers_.pop_back();
-        }
+        // The first visit, on a local record: only a survivor is stored.
+        walker w = fresh(i, alpha, stream, dists);
+        if (!advance_one(w, opts, dists, target, allowance_cap, best)) walkers_.push_back(w);
     }
 }
 
 bool walker_block::advance_one(walker& w, const engine_options& opts, const dist_cache& dists,
                                point target, std::uint64_t allowance_cap, best_state& best) {
-    const std::uint64_t allowance = best.hit ? std::min(best.time, allowance_cap) : allowance_cap;
+    // The allowance: the steps within which a hit could still be the
+    // lex-min (time, id). Under a best at time T within the cap, a smaller
+    // id than the winner's wins a tie and keeps T; a larger one loses every
+    // tie, so it must hit by T − 1 (the tie rule), and the reach bound then
+    // retires it at e + D ≥ T. A best at time 0 leaves nothing to beat.
+    std::uint64_t allowance = allowance_cap;
+    if (best.hit && best.time <= allowance_cap) {
+        allowance = w.id < best.winner || best.time == 0 ? best.time : best.time - 1;
+    }
     if (w.elapsed >= allowance) return true;
     // Steps this visit may take: the epoch quantum, when set.
     std::uint64_t quantum =

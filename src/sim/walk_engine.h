@@ -24,11 +24,12 @@ struct engine_options {
     std::uint64_t epoch_steps = 0;
 };
 
-/// Lex-min (hitting time, walker id) accumulator: a block's best, and a
-/// trial's merged over its blocks. The registration rule is
-/// order-independent — better time wins, equal time goes to the smaller
+/// Lex-min (hitting time, walker id) accumulator: a trial's best, which
+/// every block runs on, and a block journal record. The registration rule
+/// is order-independent — better time wins, equal time goes to the smaller
 /// walker index — so epoch interleaving, block order, and resumed block
-/// records cannot change the final minimum.
+/// records cannot change the final minimum. A walker reads its allowance
+/// from it: the time, and the winner a tie must beat.
 struct best_state {
     bool hit = false;
     std::uint64_t time = 0;
@@ -42,6 +43,17 @@ struct best_state {
             time = other.time;
             winner = other.winner;
         }
+    }
+
+    /// True when no walker with an id of `id` or more can change this best:
+    /// it holds a hit at ‖target‖₁, which no walk beats (a walk moves one
+    /// edge per step), by a smaller id, which wins every tie.
+    [[nodiscard]] bool settled_before(std::size_t id, point target) const noexcept {
+        const auto magnitude = [](std::int64_t v) {
+            const auto u = static_cast<std::uint64_t>(v);
+            return v < 0 ? 0 - u : u;
+        };
+        return hit && id > winner && time == magnitude(target.x) + magnitude(target.y);
     }
 };
 
@@ -134,19 +146,23 @@ public:
     /// Spawn walkers lo..hi-1 of a trial: walker i draws its exponent from
     /// `trial_stream.substream(i)`, the same draws as scalar. Spawning is a
     /// walker's first visit: each new walker advances once, as in epoch(),
-    /// and is stored only if it survives. Room for hi − lo is reserved
-    /// first: a record vector grown by doubling holds its old and new
-    /// buffers at once.
+    /// on a local record, and is stored only if it survives. `best` is the
+    /// trial's best, `allowance_cap` the budget. The spawn stops once
+    /// `best` is settled before walker i (best_state::settled_before):
+    /// walker i and those after it are never derived, drawn or stored.
+    /// Room for hi − lo is reserved first: a record vector grown by
+    /// doubling holds its old and new buffers at once.
     void spawn_range(std::size_t lo, std::size_t hi, const exponent_strategy& strategy,
                      const rng& trial_stream, dist_cache& dists, const engine_options& opts,
                      point target, std::uint64_t allowance_cap, best_state& best);
 
     /// One epoch: every live walker gets one visit — its stay-put phases and
     /// one move phase (or an `opts.epoch_steps` chunk of them), bounded by
-    /// the lex-min of `allowance_cap` and `best`'s own record. Hits register into `best`; retired walkers compact away.
-    /// `allowance_cap` is a pruning bound only (pass the trial budget, or a
-    /// better time already found elsewhere) — it can never change which
-    /// lex-min the union of all blocks' bests converges to.
+    /// its allowance: `allowance_cap` (the budget), or `best`'s time T when
+    /// smaller, and T − 1 for an id above `best`'s winner, which loses
+    /// every tie. Hits register into `best`; retired walkers compact away.
+    /// `allowance_cap` is a pruning bound only — it can never change which
+    /// lex-min the union of all blocks' hits converges to.
     void epoch(const engine_options& opts, const dist_cache& dists, point target,
                std::uint64_t allowance_cap, best_state& best);
 
@@ -169,10 +185,14 @@ private:
     };
     static_assert(sizeof(walker) == kBytesPerWalker);
 
+    /// Walker `id`'s record before its first visit (see spawn()).
+    static walker fresh(std::size_t id, double alpha, rng stream, dist_cache& dists);
+
     /// One visit to `w`: advance it through its stay-put phases and one move
-    /// phase (or a quantum chunk of them) within its allowance, the lex-min
-    /// of `allowance_cap` and `best`'s time read at the visit's start; may
-    /// register a hit in `best`. Returns true when the walker must retire.
+    /// phase (or a quantum chunk of them) within its allowance, read from
+    /// `allowance_cap`, `best` and its id at the visit's start (see
+    /// epoch()); may register a hit in `best`. Returns true when the walker
+    /// must retire.
     static bool advance_one(walker& w, const engine_options& opts, const dist_cache& dists,
                             point target, std::uint64_t allowance_cap, best_state& best);
 
@@ -224,32 +244,42 @@ private:
 /// has used e steps and stands D = ‖target − x‖₁ away cannot hit before
 /// step e + D. At each phase start, before any draw, and again when a
 /// phase completes within the allowance, a walker retires when e + D
-/// exceeds its allowance (the budget, or the best time registered so far):
-/// the *reach bound*. It is exact because such a walker could only
+/// exceeds its allowance (the budget, or the best time T registered so
+/// far): the *reach bound*. It is exact because such a walker could only
 /// register a time the lex-min discards, the allowance only shrinks, and
-/// its streams are its own. It is strict because a walker that can still
-/// tie the best time may win on the smaller id. It sits at phase
-/// boundaries because there the stored position is the walker's node;
-/// mid-phase, a skipped phase keeps no node to measure from. The check at
-/// phase end drops a walker's record in the visit that carried it out of
-/// reach, and spawning is a walker's first visit, so a walker whose first
-/// phase leaves it out of reach is never stored at all.
-/// Once a hit is known the bound retires almost every walker not heading
-/// straight for the target.
+/// its streams are its own. It is strict for an id below the winner's,
+/// which can still tie T and win on the smaller id, and inclusive above
+/// it (the *tie rule*): such a walker loses every tie, so its allowance is
+/// T − 1 and it retires at e + D ≥ T. It sits at phase boundaries because
+/// there the stored position is the walker's node; mid-phase, a skipped
+/// phase keeps no node to measure from. The check at phase end drops a
+/// walker's record in the visit that carried it out of reach, and spawning
+/// is a walker's first visit, so a walker whose first phase leaves it out
+/// of reach is never stored at all. Once a hit is known the bound retires
+/// almost every walker not heading straight for the target.
+///
+/// The bound at e = 0 says no walk hits before step ‖target‖₁. A best at
+/// that time is settled for every id above its winner, so the spawn stops
+/// there and the block loop runs no later block (*the stop*). At k ≥ ℓ,
+/// where α* clamps to 2, most trials end that way, and what a trial costs
+/// is its walkers' first visits: a spawn derives the walker's substream,
+/// draws its exponent, jump and ring node, and runs the reach bound, with
+/// the seeding, the alias draw, the Zipf head's common attempt, `below`'s
+/// multiply and the ring mapping all inline, and stores only a survivor.
 ///
 /// Half of all phases are stay-puts (d = 0): one step in place, which can
 /// never hit. A visit that draws one counts the step, runs the reach bound
 /// as at any phase end, and begins the next phase in the same visit, so a
 /// run of stay-puts costs no extra visit. The allowance read at the visit's
-/// start is never below the final lex-min, so the walker registers the
-/// same hits as if each phase had its own visit. Under `epoch_steps` the
-/// stay-put steps count toward the quantum.
+/// start never excludes a hit the final lex-min keeps, so the walker
+/// registers the same hits as if each phase had its own visit. Under
+/// `epoch_steps` the stay-put steps count toward the quantum.
 ///
 /// ## One driver
 ///
 /// A parallel trial is a loop over walker-id blocks (sim/shard_engine.h):
-/// each block is spawned and driven to the end under the allowance
-/// min(budget, best so far), and only one is resident. In memory the trial
+/// each block is spawned and driven to the end on the trial's best, and
+/// only one is resident. In memory the trial
 /// is one block of all k walkers; under shard_options the block count comes
 /// from `shards` and `memory_budget`, and a spill directory keeps a journal
 /// of finished blocks to resume from. Results are the same either way.

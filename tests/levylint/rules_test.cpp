@@ -38,4 +38,27 @@ TEST(LevylintRules, UnorderedIterationTracksReferenceAndPointerParameters) {
     EXPECT_EQ(found[1].line, 8);
 }
 
+TEST(LevylintRules, UnorderedIterationScopesNamesToTheirFunction) {
+    // `out` is an unordered map in one function and a vector in the next:
+    // only the walk over the map is flagged.
+    const std::vector<finding> found = findings_in(R"src(
+        #include <algorithm>
+        #include <iostream>
+        #include <unordered_map>
+        #include <vector>
+        void summarize() {
+            std::unordered_map<int, int> out;
+            for (auto it = out.begin(); it != out.end(); ++it) std::cout << it->first;
+        }
+        std::vector<int> load() {
+            std::vector<int> out;
+            std::sort(out.begin(), out.end());
+            return out;
+        }
+    )src");
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0].rule, "unordered-iteration");
+    EXPECT_EQ(found[0].line, 8);
+}
+
 }  // namespace

@@ -24,6 +24,7 @@
 #include "src/grid/point.h"
 #include "src/rng/rng_stream.h"
 #include "src/sim/checkpoint.h"
+#include "src/sim/monte_carlo.h"
 #include "src/sim/shard_engine.h"
 #include "src/sim/trial.h"
 #include "src/sim/walk_engine.h"
@@ -420,21 +421,25 @@ TEST_F(ShardEngineTest, PlantedJournalResumesWithoutRerunningItsBlocks) {
     EXPECT_EQ(engine.last_stats().rounds, 0u);
 
     // A record with a valid CRC is trusted, bogus best and all: block 0
-    // claims a time no walker scores, and the trial reports it.
-    plant(file, {{0, best_state{.hit = true, .time = 1, .winner = 0}}});
-    const parallel_result bogus = run();
-    EXPECT_EQ(bogus.time, 1u);
-    EXPECT_EQ(bogus.winner, 0u);
-    EXPECT_EQ(engine.last_stats().resumed, 1u);
-    EXPECT_TRUE(fs::is_empty(dir_));
+    // claims a time no walker scores, and the trial reports it. Time 0
+    // leaves no walker an allowance, not even one a step short of it.
+    for (const std::uint64_t time : {1, 0}) {
+        plant(file, {{0, best_state{.hit = true, .time = time, .winner = 0}}});
+        const parallel_result bogus = run();
+        EXPECT_EQ(bogus.time, time);
+        EXPECT_EQ(bogus.winner, 0u);
+        EXPECT_EQ(engine.last_stats().resumed, 1u);
+        EXPECT_TRUE(fs::is_empty(dir_));
+    }
 }
 
 TEST_F(ShardEngineTest, ResumedBestBoundsTheBlocksAfterIt) {
-    // Every block runs under the allowance min(budget, best so far). Block
-    // 0's journaled best claims the least time there is, ℓ, so block 1's
-    // first visits retire every walker that can no longer reach the target
-    // by step ℓ: it stores far fewer walkers than the same block spawned
-    // under the budget alone.
+    // Every block runs on the trial's best. Block 0's journaled best claims
+    // a time one step past the least there is, ℓ + 1, by walker 0, so block
+    // 1's walkers must hit by step ℓ to win (a tie loses on id), and its
+    // first visits retire every walker that can no longer: it stores far
+    // fewer walkers than the same block spawned under the budget alone.
+    // (A best at ℓ itself would settle the trial before block 1 runs.)
     const std::size_t k = 512;
     const exponent_strategy strategy = fixed_exponent(2.5);
     const point target{8, 0};
@@ -442,14 +447,13 @@ TEST_F(ShardEngineTest, ResumedBestBoundsTheBlocksAfterIt) {
     const rng stream = rng::seeded(977);
     shard_options opts = with_spill_dir({});
     opts.shards = 2;
-    plant(block_journal_for(k, strategy, target, budget, stream, kNoCap, opts),
-          {{0, best_state{.hit = true, .time = 8, .winner = 0}}});
+    const best_state planted{.hit = true, .time = 9, .winner = 0};
+    plant(block_journal_for(k, strategy, target, budget, stream, kNoCap, opts), {{0, planted}});
     sharded_walk_engine engine;
     const parallel_result r = engine.run_parallel(k, strategy, target, budget, stream, kNoCap,
                                                   opts);
-    EXPECT_EQ(r.time, 8u);
-    EXPECT_EQ(r.winner, 0u);
     EXPECT_EQ(engine.last_stats().rounds, 1u);
+    EXPECT_EQ(engine.last_stats().recomputed, 1u);
 
     dist_cache dists;
     dists.reset(kNoCap);
@@ -459,6 +463,126 @@ TEST_F(ShardEngineTest, ResumedBestBoundsTheBlocksAfterIt) {
     EXPECT_LT(2 * engine.last_stats().peak_resident_walkers, block.live())
         << "block 1 stored " << engine.last_stats().peak_resident_walkers << " walkers, "
         << block.live() << " under the budget alone";
+    // The result is the planted best, or a block-1 hit that beats it.
+    best_state expected = planted;
+    while (block.live() > 0) block.epoch({}, dists, target, budget, none);
+    if (none.hit && none.time < planted.time) expected = none;
+    EXPECT_EQ(r.time, expected.time);
+    EXPECT_EQ(r.winner, expected.winner);
+}
+
+TEST_F(ShardEngineTest, BestAtTheTargetDistanceSkipsLaterBlocks) {
+    // A trial whose best is ‖u*‖₁ = ℓ, by walker W, is settled for every id
+    // above W: no walk hits before step ℓ and a tie loses on id. Planted as
+    // the journal record of W's block, that best makes the blocks below
+    // W's run (a smaller id could still tie and win) and none above it.
+    // Each block run but the last flushes its record (sync_rounds 1).
+    const std::size_t k = 512;
+    const exponent_strategy strategy = fixed_exponent(2.0);
+    const point target = target_at(3);
+    const std::uint64_t budget = 64;
+    shard_options opts = with_spill_dir({});
+    opts.shards = 8;  // 64 walkers per block
+    walk_engine reference;
+    std::size_t checked = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const rng stream = rng::seeded(seed * 7717);
+        const parallel_result base =
+            reference.run_parallel(k, strategy, target, budget, stream, kNoCap);
+        ASSERT_TRUE(base.hit);
+        const std::size_t wb = base.winner / (k / opts.shards);
+        if (base.time != 3 || wb == 0 || wb + 1 == opts.shards) continue;
+        ++checked;
+        plant(block_journal_for(k, strategy, target, budget, stream, kNoCap, opts),
+              {{wb, best_state{.hit = true, .time = base.time, .winner = base.winner}}});
+        sharded_walk_engine engine;
+        expect_same(base, engine.run_parallel(k, strategy, target, budget, stream, kNoCap, opts),
+                    "seed " + std::to_string(seed));
+        EXPECT_EQ(engine.last_stats().resumed, 1u) << "seed=" << seed;
+        EXPECT_EQ(engine.last_stats().rounds, wb) << "seed=" << seed;
+        EXPECT_EQ(engine.last_stats().recomputed, wb) << "seed=" << seed;
+        EXPECT_TRUE(fs::is_empty(dir_)) << "seed=" << seed;
+        // Unplanted, the trial runs W's block too and stops after it. That
+        // block's record would be removed unread, so it is not flushed.
+        expect_same(base, engine.run_parallel(k, strategy, target, budget, stream, kNoCap, opts),
+                    "unplanted, seed " + std::to_string(seed));
+        EXPECT_EQ(engine.last_stats().rounds, wb + 1) << "seed=" << seed;
+        EXPECT_EQ(engine.last_stats().spills, wb) << "seed=" << seed;
+        EXPECT_TRUE(fs::is_empty(dir_)) << "seed=" << seed;
+    }
+    EXPECT_GE(checked, 5u);
+}
+
+TEST_F(ShardEngineTest, ParityWithScalarWhereTrialsEndAtTheTargetDistance) {
+    // Targets one to three steps out with k ≥ 64: most trials end at ℓ, so
+    // the tie rule, the spawn stop and the block stop all fire, at block
+    // borders on either side of the winner, mid-phase under a quantum, and
+    // on pooled engines at 1 and 4 threads. Each trial matches scalar
+    // parallel_hit, and runs its blocks up to the winner's when it ends at
+    // ℓ, or all of them when it does not.
+    constexpr std::size_t kTrials = 40;
+    const exponent_strategy strategy = fixed_exponent(2.0);
+    const std::uint64_t budget = 64;
+    struct outcome {
+        parallel_result result;
+        std::uint64_t blocks_run;
+    };
+    for (const std::int64_t ell : {1, 2, 3}) {
+        for (const std::size_t k : {64, 512}) {
+            const mc_options base{.trials = kTrials, .threads = 1, .seed = 31 * k + ell};
+            const std::vector<parallel_result> scalar =
+                monte_carlo_collect(base, [&](std::size_t, rng& g) {
+                    return parallel_hit(k, strategy, target_at(ell), budget, g);
+                });
+            std::size_t at_ell = 0;
+            for (const parallel_result& r : scalar) {
+                at_ell += r.hit && r.time == static_cast<std::uint64_t>(ell) ? 1 : 0;
+            }
+            EXPECT_GT(2 * at_ell, kTrials) << "ell=" << ell << " k=" << k;
+            for (const std::size_t blocks : {1, 3, 16}) {
+                for (const std::uint64_t quantum : {0, 1, 4}) {
+                    for (const unsigned threads : {1u, 4u}) {
+                        parallel_walk_config cfg;
+                        cfg.k = k;
+                        cfg.strategy = strategy;
+                        cfg.ell = ell;
+                        cfg.budget = budget;
+                        cfg.shards = blocks;
+                        cfg.epoch_steps = quantum;
+                        mc_options mc = base;
+                        mc.threads = threads;
+                        // The pooled engine of the worker that ran the trial
+                        // holds its stats.
+                        const std::vector<outcome> batch =
+                            monte_carlo_collect(mc, [&](std::size_t, rng& g) {
+                                const parallel_result r = parallel_walk_trial(cfg, g);
+                                return outcome{r, walk_engine::local().last_stats().rounds};
+                            });
+                        for (std::size_t t = 0; t < kTrials; ++t) {
+                            const parallel_result& r = batch[t].result;
+                            const std::string where =
+                                "ell=" + std::to_string(ell) + " k=" + std::to_string(k) +
+                                " blocks=" + std::to_string(blocks) + " quantum=" +
+                                std::to_string(quantum) + " threads=" +
+                                std::to_string(threads) + " trial=" + std::to_string(t);
+                            EXPECT_EQ(scalar[t].hit, r.hit) << where;
+                            EXPECT_EQ(scalar[t].time, r.time) << where;
+                            EXPECT_EQ(scalar[t].winner, r.winner) << where;
+                            if (scalar[t].hit) {
+                                EXPECT_EQ(scalar[t].winner_alpha, r.winner_alpha) << where;
+                            }
+                            std::size_t expected = blocks;
+                            if (r.hit && r.time == static_cast<std::uint64_t>(ell)) {
+                                expected = 1;
+                                while ((expected * k) / blocks <= r.winner) ++expected;
+                            }
+                            EXPECT_EQ(batch[t].blocks_run, expected) << where;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST_F(ShardEngineTest, TornJournalByteAtEveryOffsetRerunsTheLostBlocks) {

@@ -413,12 +413,14 @@ TEST(WalkEngineParallel, StayPutRunsAtEveryQuantum) {
 
 TEST(WalkerBlockSpawn, StayPutRunKeepsTheReachBound) {
     // Walkers whose first phase is a stay-put and whose second is at least
-    // two steps long, spawned under a known hit at a quantum of two steps.
+    // two steps long, spawned under a known hit at a quantum of one step
+    // (the stay-put ends the visit) and of two (the second phase begins).
     // With the best time equal to the target's distance, the stay-put
     // takes each out of reach: it must retire in that visit, before its
-    // second phase, and not be stored. One step more and a walker could
-    // still tie the best time, so it begins its second phase and, with
-    // the quantum spent inside it, is stored.
+    // second phase, and not be stored. One step more and a walker whose id
+    // is below the winner's could still win a tie, so it walks on and is
+    // stored; one whose id is above it would lose that tie, so it retires
+    // as if the best were a step earlier (the tie rule).
     const point target = target_at(5);
     const rng trial = rng::seeded(17);
     std::vector<std::size_t> ids;
@@ -430,19 +432,63 @@ TEST(WalkerBlockSpawn, StayPutRunKeepsTheReachBound) {
         if (walk.current_jump_length() >= 2) ids.push_back(i);
     }
     ASSERT_EQ(ids.size(), 8u);
-    const engine_options opts{.epoch_steps = 2};
-    for (const std::uint64_t best_time : {5, 6}) {
-        dist_cache dists;
-        dists.reset(kNoCap);
-        walker_block block;
-        best_state known{.hit = true, .time = best_time, .winner = 0};
-        for (const std::size_t i : ids) {
-            block.spawn_range(i, i + 1, fixed_exponent(2.0), trial, dists, opts, target, 400,
-                              known);
+    const std::size_t above_all = ids.back() + 1;
+    struct planted {
+        std::uint64_t time;
+        std::size_t winner;
+        std::size_t stored;
+    };
+    for (const std::uint64_t quantum : {1, 2}) {
+        const engine_options opts{.epoch_steps = quantum};
+        for (const planted p : {planted{5, above_all, 0}, planted{6, above_all, ids.size()},
+                                planted{6, 0, 0}}) {
+            dist_cache dists;
+            dists.reset(kNoCap);
+            walker_block block;
+            best_state known{.hit = true, .time = p.time, .winner = p.winner};
+            for (const std::size_t i : ids) {
+                block.spawn_range(i, i + 1, fixed_exponent(2.0), trial, dists, opts, target, 400,
+                                  known);
+            }
+            EXPECT_EQ(block.live(), p.stored)
+                << "quantum=" << quantum << " best=(" << p.time << ", " << p.winner << ")";
+            EXPECT_EQ(known.time, p.time);
+            EXPECT_EQ(known.winner, p.winner);
         }
-        EXPECT_EQ(block.live(), best_time == 5 ? 0u : ids.size()) << "best=" << best_time;
-        EXPECT_EQ(known.time, best_time);
     }
+}
+
+TEST(WalkerBlockSpawn, SettledBestStopsTheSpawnAtItsWinner) {
+    // A best at the target's distance ℓ is settled for every id above its
+    // winner W: no walk hits before step ℓ, and a tie loses on id. The
+    // spawn stops there, before it derives the next walker's stream or
+    // asks the strategy for its exponent, and stores the same walkers as a
+    // spawn that ends at W.
+    const point target = target_at(3);
+    const rng trial = rng::seeded(4242);
+    const std::size_t lo = 100, winner = 200, hi = 300;
+    std::vector<int> calls(hi, 0);
+    const exponent_strategy counting = [&calls](std::size_t i, rng&) {
+        ++calls[i];
+        return 2.0;
+    };
+    dist_cache dists;
+    dists.reset(kNoCap);
+    const engine_options opts{};
+    walker_block block;
+    best_state best{.hit = true, .time = 3, .winner = winner};
+    block.spawn_range(lo, hi, counting, trial, dists, opts, target, 64, best);
+    // No walker below W tied the best on its first visit, or the stop would
+    // have moved down to it.
+    ASSERT_EQ(best.winner, winner);
+    for (std::size_t i = lo; i < hi; ++i) {
+        EXPECT_EQ(calls[i], i <= winner ? 1 : 0) << "id " << i;
+    }
+    walker_block upto_winner;
+    best_state same{.hit = true, .time = 3, .winner = winner};
+    upto_winner.spawn_range(lo, winner + 1, counting, trial, dists, opts, target, 64, same);
+    EXPECT_GT(block.live(), 0u);
+    EXPECT_EQ(block.live(), upto_winner.live());
 }
 
 }  // namespace

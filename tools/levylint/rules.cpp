@@ -5,6 +5,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace levylint {
 namespace {
@@ -408,7 +411,7 @@ private:
                     if (after != nullptr && is_punct(*after, "(")) {
                         continue;  // function returning unordered: resolved via call graph
                     }
-                    unordered_vars_.insert(name->text);
+                    track_unordered(name->text, past);
                 }
             }
             if (is_ident(ts_[i], "double") || is_ident(ts_[i], "float")) {
@@ -437,10 +440,45 @@ private:
                     j -= 2;
                 }
                 if (j >= 2 && is_punct(ts_[j - 1], "=") && ts_[j - 2].kind == tok::identifier) {
-                    unordered_vars_.insert(ts_[j - 2].text);
+                    track_unordered(ts_[j - 2].text, j - 2);
                 }
             }
         }
+    }
+
+    /// Record `name`, declared unordered at token `at`, for lookups within
+    /// its scope: the body of the function it is declared in, from the
+    /// declaration on when it is one of that function's parameters, or the
+    /// whole file (a global or a class member). So a name reused for an
+    /// ordered container in another function is not mistaken for it.
+    void track_unordered(const std::string& name, std::size_t at) {
+        std::pair<std::size_t, std::size_t> scope{0, ts_.size()};
+        std::pair<std::size_t, std::size_t> next{ts_.size(), ts_.size()};  // first body after it
+        for (const func_info& f : my().funcs) {
+            if (!f.is_definition) continue;
+            if (f.body_begin <= at && at < f.body_end && f.body_begin >= scope.first) {
+                scope = {f.body_begin, f.body_end};  // innermost enclosing body
+            } else if (at < f.body_begin && f.body_begin < next.first) {
+                next = {f.body_begin, f.body_end};
+            }
+        }
+        // Outside every body, a parameter of the next one: no ';' between.
+        if (scope.first == 0 && next.first < ts_.size() &&
+            std::none_of(ts_.begin() + static_cast<std::ptrdiff_t>(at),
+                         ts_.begin() + static_cast<std::ptrdiff_t>(next.first),
+                         [](const token& t) { return is_punct(t, ";"); })) {
+            scope = {at, next.second};
+        }
+        unordered_vars_[name].push_back(scope);
+    }
+
+    /// True when the identifier at token `i` names an unordered container
+    /// declared in a scope that holds `i`.
+    bool names_unordered(std::size_t i) const {
+        const auto it = unordered_vars_.find(ts_[i].text);
+        if (it == unordered_vars_.end()) return false;
+        return std::any_of(it->second.begin(), it->second.end(),
+                           [i](const auto& scope) { return scope.first <= i && i < scope.second; });
     }
 
     /// Names declared std::atomic<...>, and the float subset
@@ -469,7 +507,7 @@ private:
         for (std::size_t i = begin; i < end && i < ts_.size(); ++i) {
             const token& t = ts_[i];
             if (t.kind != tok::identifier) continue;
-            if (unordered_vars_.count(t.text) != 0 || unordered_calls_.count(t.text) != 0 ||
+            if (names_unordered(i) || unordered_calls_.count(t.text) != 0 ||
                 is_unordered_name(t)) {
                 return true;
             }
@@ -502,7 +540,7 @@ private:
                 }
             }
             // Explicit iterator walk: container.begin() / cbegin() / rbegin().
-            if (ts_[i].kind == tok::identifier && unordered_vars_.count(ts_[i].text) != 0 &&
+            if (ts_[i].kind == tok::identifier && names_unordered(i) &&
                 is_punct(ts_[i + 1], ".") && at(ts_, i + 2) != nullptr) {
                 const std::string& m = ts_[i + 2].text;
                 if ((m == "begin" || m == "cbegin" || m == "rbegin") && at(ts_, i + 3) != nullptr &&
@@ -988,7 +1026,9 @@ private:
     const lexed_file& lf_;
     const tokens_t& ts_;
     const std::set<std::string>& unordered_calls_;
-    std::set<std::string> unordered_vars_;
+    /// Unordered container names, each with the token ranges it is
+    /// declared in (see track_unordered).
+    std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>> unordered_vars_;
     std::set<std::string> float_vars_;
     std::set<std::string> atomic_vars_;
     std::set<std::string> atomic_float_vars_;
